@@ -150,19 +150,22 @@ def in_degree(net: CitationNetwork) -> np.ndarray:
     Counts adjacency, not weight: an institution citing a node 50 times
     contributes 1. Self-loops never count, even when stored.
     """
-    k = np.zeros(net.n_nodes, dtype=np.int64)
-    for (i, j) in net.weights:
-        if i != j:
-            k[j] += 1
-    return k
+    m = net.n_edges
+    src = np.fromiter((i for i, _j in net.weights), dtype=np.int64, count=m)
+    dst = np.fromiter((j for _i, j in net.weights), dtype=np.int64, count=m)
+    return np.bincount(dst[src != dst], minlength=net.n_nodes)
 
 
 def degree_centrality(net: CitationNetwork) -> np.ndarray:
     """In-degree divided by N - 1: the fraction of peers citing each node."""
-    n = net.n_nodes
+    return _degree_centrality(in_degree(net))
+
+
+def _degree_centrality(k: np.ndarray) -> np.ndarray:
+    n = k.size
     if n < 2:
         raise DegenerateNetworkError(f"degree centrality needs at least 2 nodes, got {n}")
-    return in_degree(net) / (n - 1)
+    return k / (n - 1)
 
 
 def degree_distribution(net: CitationNetwork) -> list[tuple[int, float]]:
@@ -179,18 +182,23 @@ def centrality_distribution(net: CitationNetwork) -> list[tuple[float, float]]:
     its multiplicity divided by N. Consumers that want histograms can bin
     the emitted (value, probability) pairs themselves.
     """
-    n = net.n_nodes
+    return _centrality_distribution(in_degree(net))
+
+
+def _centrality_distribution(k: np.ndarray) -> list[tuple[float, float]]:
+    n = k.size
     if n < 2:
         raise DegenerateNetworkError(f"centrality distribution needs at least 2 nodes, got {n}")
-    counts = Counter(in_degree(net).tolist())
-    return [(k / (n - 1), counts[k] / n) for k in sorted(counts)]
+    values, counts = np.unique(k, return_counts=True)
+    return [(v / (n - 1), c / n) for v, c in zip(values.tolist(), counts.tolist())]
 
 
 def degree_report(net: CitationNetwork) -> DegreeReport:
+    k = in_degree(net)
     return DegreeReport(
-        in_degree=in_degree(net),
-        degree_centrality=degree_centrality(net),
-        centrality_distribution=centrality_distribution(net),
+        in_degree=k,
+        degree_centrality=_degree_centrality(k),
+        centrality_distribution=_centrality_distribution(k),
     )
 
 

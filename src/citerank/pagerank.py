@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyNetworkError, NumericError, OracleSizeError
 from .network import CitationNetwork
@@ -81,34 +80,32 @@ class PageRankResult:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Column-stochastic transition structure of a network.
+    """Column-stochastic transition structure of a network, as edge arrays.
 
-    matrix[t, s] is the fraction of s's outgoing citations that point at t;
-    columns of non-dangling sources sum to 1, dangling columns are all zero.
+    Edge k moves the fraction share[k] of source[k]'s score to target[k];
+    the shares of each non-dangling source sum to 1. Edges are sorted by
+    (target, source), so summing them in order per target adds the terms of
+    each row of the matrix in ascending column order.
     """
 
-    matrix: sp.csr_matrix
+    target: np.ndarray
+    source: np.ndarray
+    share: np.ndarray
     dangling: np.ndarray
-
-    def share(self, source: int, target: int) -> float:
-        return float(self.matrix[target, source])
 
 
 def normalize_weights(net: CitationNetwork) -> TransitionMatrix:
     """Normalize each node's outgoing weights to sum to 1, flag dangling nodes."""
-    n = net.n_nodes
-    out_sum = np.zeros(n, dtype=np.float64)
-    for (i, _j), w in net.weights.items():
-        out_sum[i] += w
-    rows = np.empty(net.n_edges, dtype=np.int64)
-    cols = np.empty(net.n_edges, dtype=np.int64)
-    data = np.empty(net.n_edges, dtype=np.float64)
-    for k, (i, j, w) in enumerate(net.edges()):
-        rows[k] = j
-        cols[k] = i
-        data[k] = w / out_sum[i]
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return TransitionMatrix(matrix=matrix, dangling=out_sum == 0.0)
+    m = net.n_edges
+    src = np.fromiter((i for i, _j in net.weights), dtype=np.int64, count=m)
+    dst = np.fromiter((j for _i, j in net.weights), dtype=np.int64, count=m)
+    w = np.fromiter(net.weights.values(), dtype=np.float64, count=m)
+    out_sum = np.bincount(src, weights=w, minlength=net.n_nodes)
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    return TransitionMatrix(
+        target=dst, source=src, share=w[order] / out_sum[src], dangling=out_sum == 0.0
+    )
 
 
 def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRankResult:
@@ -134,7 +131,8 @@ def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRan
     delta = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        flow = trans.matrix @ pi
+        flow = np.bincount(trans.target, weights=trans.share * pi[trans.source], minlength=n)
+        flow = flow.astype(np.float64, copy=False)  # int64 when there are no edges
         if uniform_policy:
             flow += pi[trans.dangling].sum() / n
         new_pi = teleport + d * flow

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     DegenerateControlError,
@@ -97,6 +96,9 @@ def _t_two_sided_p(r: float, dof: int) -> float:
         raise UndefinedStatisticError(f"too few observations ({dof} degrees of freedom)")
     if 1.0 - r * r <= 0.0:
         return 0.0
+    # imported here so that only commands reporting p-values pay scipy's import time
+    from scipy.special import stdtr
+
     t = abs(r) * math.sqrt(dof / (1.0 - r * r))
     return 2.0 * float(stdtr(dof, -t))
 

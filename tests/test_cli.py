@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import citerank
 from citerank import compare_columns, pca
 from citerank.cli import main
 from citerank.fileio import bundled_data, read_correlation_csv
@@ -424,3 +429,16 @@ def test_full_pipeline_byte_determinism(tmp_path):
             assert a == b
         else:
             assert one[rel] == two[rel], rel
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs ~0.3 s per process; only p-values need it, imported on use
+    src = str(Path(citerank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, citerank.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert "citerank" in loaded
+    assert "scipy" not in loaded

@@ -35,11 +35,17 @@ def test_config_accepts_policy_string():
 # ---------------------------------------------------------------------------
 
 
+def share_of(trans, source: int, target: int) -> float:
+    """Fraction of source's out-flow sent to target (0 without an edge)."""
+    hit = (trans.source == source) & (trans.target == target)
+    return float(trans.share[hit].sum())
+
+
 def test_normalize_single_edge_flags_target_dangling():
     net = CitationNetwork.from_edges([("a", "b", 7)])
     trans = normalize_weights(net)
     a, b = net.index_of("a"), net.index_of("b")
-    assert trans.share(a, b) == 1.0
+    assert share_of(trans, a, b) == 1.0
     assert not trans.dangling[a]
     assert trans.dangling[b]
 
@@ -48,8 +54,8 @@ def test_normalize_proportional_split():
     net = CitationNetwork.from_edges([("a", "b", 3), ("a", "c", 1)])
     trans = normalize_weights(net)
     a = net.index_of("a")
-    assert trans.share(a, net.index_of("b")) == 0.75
-    assert trans.share(a, net.index_of("c")) == 0.25
+    assert share_of(trans, a, net.index_of("b")) == 0.75
+    assert share_of(trans, a, net.index_of("c")) == 0.25
 
 
 def test_normalize_all_dangling_without_edges():
@@ -61,7 +67,7 @@ def test_normalized_columns_sum_to_one():
     rng = np.random.default_rng(5)
     net = make_random_network(rng, 30)
     trans = normalize_weights(net)
-    sums = np.asarray(trans.matrix.sum(axis=0)).ravel()
+    sums = np.bincount(trans.source, weights=trans.share, minlength=net.n_nodes)
     for i in range(net.n_nodes):
         if trans.dangling[i]:
             assert sums[i] == 0.0
@@ -206,3 +212,57 @@ def test_deterministic_across_repeated_solves():
     first = pagerank(net).scores
     second = pagerank(net).scores
     assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the sparse-matrix power iteration
+# ---------------------------------------------------------------------------
+
+
+def csr_power_iteration(net: CitationNetwork, cfg: PageRankConfig) -> tuple[np.ndarray, int]:
+    """The solver as a scipy CSR matvec, kept as the bit-for-bit reference."""
+    sp = pytest.importorskip("scipy.sparse")
+    n = net.n_nodes
+    out_sum = np.zeros(n)
+    for (i, _j), w in net.weights.items():
+        out_sum[i] += w
+    rows, cols, data = [], [], []
+    for i, j, w in net.edges():
+        rows.append(j)
+        cols.append(i)
+        data.append(w / out_sum[i])
+    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    dangling = out_sum == 0.0
+    d = cfg.damping
+    pi = np.full(n, 1.0 / n)
+    for iterations in range(1, cfg.max_iterations + 1):
+        flow = matrix @ pi
+        if cfg.dangling_policy is DanglingPolicy.UNIFORM:
+            flow += pi[dangling].sum() / n
+        new_pi = (1.0 - d) / n + d * flow
+        delta = float(np.abs(new_pi - pi).sum())
+        pi = new_pi
+        if delta < cfg.tolerance:
+            break
+    return pi, iterations
+
+
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_matches_csr_power_iteration_bit_for_bit(policy):
+    rng = np.random.default_rng(2041)
+    n = 2000
+    citing = rng.permutation(n)[: n * 3 // 4]  # the other quarter is dangling
+    src = rng.choice(citing, size=16_000)
+    dst = rng.integers(0, n, size=src.size)
+    keep = src != dst
+    counts = rng.integers(1, 10, size=keep.sum())
+    weights = {}
+    for i, j, w in zip(src[keep].tolist(), dst[keep].tolist(), counts.tolist()):
+        weights[(i, j)] = weights.get((i, j), 0) + w
+    net = CitationNetwork.build([f"inst{k:04d}" for k in rng.permutation(n)], weights)
+    cfg = PageRankConfig(dangling_policy=policy)
+    res = pagerank(net, cfg)
+    expected, iterations = csr_power_iteration(net, cfg)
+    assert normalize_weights(net).dangling.sum() >= n // 4
+    assert res.iterations_used == iterations
+    assert np.array_equal(res.scores, expected)
