@@ -327,12 +327,12 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cartel = None
-    if args.cartel_size is not None:
-        if args.cartel_boost is None:
-            raise InputError("--cartel-size requires --cartel-boost")
-        cartel = synthnet.CartelSpec(args.cartel_size, args.cartel_boost)
     try:
+        cartel = None
+        if args.cartel_size is not None:
+            if args.cartel_boost is None:
+                raise InputError("--cartel-size requires --cartel-boost")
+            cartel = synthnet.CartelSpec(args.cartel_size, args.cartel_boost)
         cfg = synthnet.SynthConfig(
             n_nodes=args.nodes,
             mean_out_citations=args.mean_out,

@@ -10,10 +10,13 @@ PageRank are expected to disagree.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .network import CitationNetwork
 
 __all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate", "generate_traced"]
@@ -42,8 +45,12 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be positive")
+        if not math.isfinite(self.mean_out_citations):
+            raise ValueError("mean_out_citations must be finite")
         if not self.mean_out_citations > 0:
             raise ValueError("mean_out_citations must be positive")
+        if not math.isfinite(self.attachment_exponent):
+            raise ValueError("attachment_exponent must be finite")
         if self.attachment_exponent < 0:
             raise ValueError("attachment_exponent must be non-negative")
         if self.cartel is not None and self.cartel.member_count >= self.n_nodes:
@@ -61,6 +68,115 @@ def _node_ids(n: int) -> tuple[str, ...]:
     return tuple(f"inst-{i:0{width}d}" for i in range(n))
 
 
+class _SumTree:
+    """Binary tree of partial sums over non-negative weights, one leaf each.
+
+    Each internal node is recomputed as the sum of its two children, so its
+    rounding depends only on the tree's depth, not on how many updates came
+    before, and putting a weight back restores every node exactly.
+    """
+
+    def __init__(self, weights: list[float]) -> None:
+        size = 1
+        while size < len(weights):
+            size *= 2
+        self.size = size
+        self.depth = size.bit_length() - 1
+        tree = [0.0] * (2 * size)
+        tree[size : size + len(weights)] = weights
+        for j in range(size - 1, 0, -1):
+            tree[j] = tree[2 * j] + tree[2 * j + 1]
+        self.tree = tree
+
+    @property
+    def total(self) -> float:
+        return self.tree[1]
+
+    def set(self, i: int, weight: float) -> None:
+        tree = self.tree
+        j = self.size + i
+        tree[j] = weight
+        j >>= 1
+        while j:
+            tree[j] = tree[2 * j] + tree[2 * j + 1]
+            j >>= 1
+
+    def find(self, x: float) -> tuple[int, float, float]:
+        """Leaf whose slot [lo, hi) of the running sum holds x, with lo and hi."""
+        tree = self.tree
+        j = 1
+        lo = 0.0
+        while j < self.size:
+            j *= 2
+            left = tree[j]
+            if x >= lo + left:
+                lo += left
+                j += 1
+        return j - self.size, lo, lo + tree[j]
+
+
+# Rounding allowed, per weight summed and relative to the total weight,
+# between the tree's slots and the cumulative distribution that
+# Generator.choice(a, p=p) builds from the same weights (p = w / w.sum(),
+# cdf = p.cumsum(), cdf /= cdf[-1]). numpy's sequential cumsum of n shares
+# is off by at most n unit roundoffs of the total, and its divisions add
+# two more; a tree node carries at most `depth` roundings, the descent adds
+# `depth` more, and scaling the uniform draw by the total one. That sum is
+# under (n + 1.5 * depth + 1.5) * eps (eps = 2 unit roundoffs) of the
+# total, and the margin, _ROUNDING_PER_WEIGHT * (n + 2 * depth) * total, is
+# more than three times it, so a draw farther than the margin from both
+# edges of its slot lands in the same slot in both computations. The
+# weights themselves are numpy's own values (see _attachment_weights).
+_ROUNDING_PER_WEIGHT = 4 * sys.float_info.epsilon
+# Above this total, numpy's own sum of the weights may overflow and make
+# choice fail, so the draw is left to numpy's arithmetic.
+_LARGEST_TREE_TOTAL = sys.float_info.max / 2
+
+
+def _attachment_weights(count: int, exponent: float) -> list[float]:
+    """(r + 1) ** exponent for r < count, as numpy computes it for choice.
+
+    Python's float power differs from numpy's in the last bit for some
+    bases and exponents, so the table comes from numpy.
+    """
+    with np.errstate(over="ignore"):
+        return ((np.arange(count, dtype=np.int64) + 1.0) ** exponent).tolist()
+
+
+def _exact_draw(received: list[int], source: int, exponent: float, u: float) -> int:
+    """The index Generator.choice picks for the uniform draw u, in its own arithmetic."""
+    with np.errstate(over="ignore"):
+        attractiveness = (np.array(received, dtype=np.int64) + 1.0) ** exponent
+    attractiveness[source] = 0.0
+    total = attractiveness.sum()
+    if not np.isfinite(total):
+        raise NumericError(
+            f"attachment weights (received + 1) ** {exponent} overflow at "
+            f"{len(received)} nodes; use a smaller attachment_exponent"
+        )
+    cdf = (attractiveness / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def _draw(tree: _SumTree, received: list[int], source: int, exponent: float, u: float) -> int:
+    """Target of one citation from `source`, for the uniform draw u.
+
+    Returns the index that rng.choice(n, p=weights / weights.sum()) returns
+    when its uniform draw is u, in O(log n) unless u lies within the
+    rounding margin of a slot edge.
+    """
+    total = tree.total
+    if total < _LARGEST_TREE_TOTAL:
+        x = u * total
+        index, lo, hi = tree.find(x)
+        margin = _ROUNDING_PER_WEIGHT * (len(received) + 2 * tree.depth) * total
+        # an empty slot (the source, or padding past the last node) never passes
+        if x - lo > margin and hi - x > margin:
+            return index
+    return _exact_draw(received, source, exponent, u)
+
+
 def generate_traced(cfg: SynthConfig) -> SynthResult:
     """Generate a network and report which nodes got the cartel treatment.
 
@@ -69,23 +185,35 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
     step adds `internal_weight_boost` citations per ordered member pair on
     top of the base network, choosing the least-cited nodes as members, so
     runs with and without a cartel share the same base for the same seed.
+
+    Each target is drawn as `rng.choice(nodes, p=...)` would draw it from
+    the same generator, so the output is the same as that of the O(n)-per-
+    citation loop, at O(log n) per citation.
+
+    Raises NumericError when the attachment weights overflow.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_nodes
+    exponent = cfg.attachment_exponent
     ids = _node_ids(n)
-    received = np.zeros(n, dtype=np.int64)
+    received = [0] * n
+    weight_of = _attachment_weights(64, exponent)  # indexed by citations received
+    tree = _SumTree([weight_of[0]] * n)
     weights: dict[tuple[int, int], int] = {}
-    nodes = np.arange(n)
     for source in range(n):
         n_out = int(rng.poisson(cfg.mean_out_citations))
+        if n == 1 or n_out == 0:
+            continue
+        tree.set(source, 0.0)
         for _ in range(n_out):
-            if n == 1:
-                break
-            attractiveness = (received + 1.0) ** cfg.attachment_exponent
-            attractiveness[source] = 0.0
-            target = int(rng.choice(nodes, p=attractiveness / attractiveness.sum()))
+            target = _draw(tree, received, source, exponent, rng.random())
             weights[(source, target)] = weights.get((source, target), 0) + 1
             received[target] += 1
+            count = received[target]
+            if count == len(weight_of):
+                weight_of = _attachment_weights(2 * count, exponent)
+            tree.set(target, weight_of[count])
+        tree.set(source, weight_of[received[source]])
 
     members: tuple[str, ...] = ()
     if cfg.cartel is not None:

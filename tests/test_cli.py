@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -382,6 +383,34 @@ def test_synth_feeds_pagerank(tmp_path):
     assert main(["pagerank", str(out / "edges.csv"), "--out", str(pr_out)]) == 0
     rows = _read_csv(pr_out / "ranking.csv")
     assert len(rows) == 31
+
+
+def test_synth_edge_list_stream_is_pinned(tmp_path):
+    # digest of the edge list written by the rng.choice generator; the tree
+    # sampler must reproduce its random stream byte for byte
+    out = tmp_path / "s"
+    args = ["synth", "--nodes", "500", "--mean-out", "4", "--seed", "17",
+            "--cartel-size", "5", "--cartel-boost", "10", "--out", str(out)]
+    assert main(args) == 0
+    digest = hashlib.sha256((out / "edges.csv").read_bytes()).hexdigest()
+    assert digest == "77a4363a4c91ba4a47aac2aa11c59ca4406b6e7c9f8cee53c94107572e2d5eba"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--exponent", "nan"], "attachment_exponent must be finite"),
+        (["--exponent", "inf"], "attachment_exponent must be finite"),
+        (["--mean-out", "inf"], "mean_out_citations must be finite"),
+        (["--exponent", "400"], "overflow"),
+        (["--cartel-size", "1", "--cartel-boost", "5"], "a cartel needs at least 2 members"),
+    ],
+)
+def test_synth_bad_parameters_exit_one(tmp_path, capsys, flags, message):
+    out = tmp_path / "s"
+    assert main(["synth", "--nodes", "50", *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "edges.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,118 @@
+import math
+
 import numpy as np
 import pytest
 
 from citerank import CartelSpec, SynthConfig, generate, generate_traced, in_degree
+from citerank import synthnet
+from citerank.errors import NumericError
+from citerank.network import CitationNetwork
+
+
+def _reference_generate(cfg):
+    """The O(n)-per-citation generator: rng.choice over the full attractiveness vector."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_nodes
+    ids = synthnet._node_ids(n)
+    received = np.zeros(n, dtype=np.int64)
+    weights = {}
+    nodes = np.arange(n)
+    for source in range(n):
+        n_out = int(rng.poisson(cfg.mean_out_citations))
+        for _ in range(n_out):
+            if n == 1:
+                break
+            attractiveness = (received + 1.0) ** cfg.attachment_exponent
+            attractiveness[source] = 0.0
+            target = int(rng.choice(nodes, p=attractiveness / attractiveness.sum()))
+            weights[(source, target)] = weights.get((source, target), 0) + 1
+            received[target] += 1
+
+    members = ()
+    if cfg.cartel is not None:
+        order = np.lexsort((np.arange(n), received))
+        member_idx = sorted(int(i) for i in order[: cfg.cartel.member_count])
+        members = tuple(ids[i] for i in member_idx)
+        boost = cfg.cartel.internal_weight_boost
+        for a in member_idx:
+            for b in member_idx:
+                if a != b:
+                    weights[(a, b)] = weights.get((a, b), 0) + boost
+
+    net = CitationNetwork.build(ids, weights, subject=f"synthetic-{cfg.seed}")
+    return synthnet.SynthResult(network=net, cartel_members=members)
+
+
+def _assert_matches_reference(cfg):
+    got = generate_traced(cfg)
+    want = _reference_generate(cfg)
+    assert got.network.node_ids == want.network.node_ids
+    assert got.network.weights == want.network.weights
+    assert got.cartel_members == want.cartel_members
+    return got
+
+
+def _matrix_configs(n, exponent):
+    for seed in range(6):
+        cartel = None
+        if seed % 2 and n >= 3:
+            cartel = CartelSpec(member_count=min(5, n - 1), internal_weight_boost=3)
+        yield SynthConfig(n, mean_out_citations=4.0, attachment_exponent=exponent,
+                          cartel=cartel, seed=seed)
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 300])
+def test_matches_rng_choice_reference_bit_for_bit(n, exponent):
+    for cfg in _matrix_configs(n, exponent):
+        _assert_matches_reference(cfg)
+
+
+def test_matches_rng_choice_reference_at_2000_nodes_with_cartel():
+    _assert_matches_reference(
+        SynthConfig(2000, mean_out_citations=5.0, attachment_exponent=1.0, seed=23,
+                    cartel=CartelSpec(member_count=10, internal_weight_boost=20))
+    )
+
+
+@pytest.mark.parametrize("rounding", [2e-6, 0.5])
+def test_exact_path_matches_reference(monkeypatch, rounding):
+    # a wider margin sends a share of the draws (at 0.5: every draw) down
+    # numpy's exact path, interleaved with tree draws that must see the same
+    # tree updates
+    exact_draws = 0
+    exact = synthnet._exact_draw
+
+    def counting(*args):
+        nonlocal exact_draws
+        exact_draws += 1
+        return exact(*args)
+
+    monkeypatch.setattr(synthnet, "_ROUNDING_PER_WEIGHT", rounding)
+    monkeypatch.setattr(synthnet, "_exact_draw", counting)
+    for exponent in (0.0, 1.0, 2.0):
+        exact_draws = 0
+        cfg = SynthConfig(300, mean_out_citations=5.0, attachment_exponent=exponent, seed=5)
+        draws = _assert_matches_reference(cfg).network.total_weight
+        if rounding < 0.5:
+            assert 0 < exact_draws < draws
+        else:
+            assert exact_draws == draws
+
+
+@pytest.mark.parametrize("exponent", [100.0, 128.0, 130.0, 400.0])
+def test_overflow_fails_where_reference_fails(exponent):
+    # at 50 nodes the weights overflow for some seeds from about 128 upwards
+    for seed in range(4):
+        cfg = SynthConfig(50, mean_out_citations=5.0, attachment_exponent=exponent, seed=seed)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _reference_generate(cfg)
+        except ValueError:
+            with pytest.raises(NumericError, match="overflow"):
+                generate_traced(cfg)
+        else:
+            assert generate_traced(cfg).network.weights == want.network.weights
 
 
 def _in_strength(net):
@@ -99,6 +210,11 @@ def test_config_validation():
         SynthConfig(n_nodes=10, mean_out_citations=0.0)
     with pytest.raises(ValueError):
         SynthConfig(n_nodes=10, attachment_exponent=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SynthConfig(n_nodes=10, attachment_exponent=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SynthConfig(n_nodes=10, mean_out_citations=bad)
     with pytest.raises(ValueError):
         SynthConfig(n_nodes=5, cartel=CartelSpec(5, 2))
     with pytest.raises(ValueError):
