@@ -329,6 +329,8 @@ def _cmd_pca(args) -> int:
 def _cmd_synth(args) -> int:
     try:
         cartel = None
+        if args.cartel_boost is not None and args.cartel_size is None:
+            raise InputError("--cartel-boost requires --cartel-size")
         if args.cartel_size is not None:
             if args.cartel_boost is None:
                 raise InputError("--cartel-size requires --cartel-boost")

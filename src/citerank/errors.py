@@ -33,10 +33,6 @@ class NumericError(CiteRankError):
     """A solver produced a non-finite intermediate value."""
 
 
-class OracleSizeError(CiteRankError):
-    """The dense reference solver refuses networks above its size cap."""
-
-
 class ScoringError(CiteRankError):
     """Score inputs are unusable (all-zero vector, non-positive scores)."""
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import TableFormatError
-from .network import CitationNetwork
+from .network import INT64_MAX, CitationNetwork
 from .scoring import ScoreTable
 
 __all__ = [
@@ -76,6 +76,8 @@ def read_edge_list(path) -> list[tuple[str, str, int]]:
                 raise TableFormatError(f"{path}:{line_no}: weight {raw_w!r} is not an integer") from None
             if w <= 0:
                 raise TableFormatError(f"{path}:{line_no}: weight must be positive, got {w}")
+            if w > INT64_MAX:
+                raise TableFormatError(f"{path}:{line_no}: weight {w} is beyond the int64 range")
             if not src or not dst:
                 raise TableFormatError(f"{path}:{line_no}: empty institution id")
             edges.append((src, dst, w))
@@ -83,11 +85,16 @@ def read_edge_list(path) -> list[tuple[str, str, int]]:
 
 
 def write_edge_list(net: CitationNetwork, path) -> None:
+    """`source,target,weight` rows sorted by (source id, target id)."""
+    order = net.id_order()
+    ids = np.array(net.node_ids, dtype=object)
+    rows = zip(
+        ids[net.source[order]].tolist(), ids[net.target[order]].tolist(), net.weight[order].tolist()
+    )
     with _writer(path) as handle:
         out = csv.writer(handle)
         out.writerow(["source", "target", "weight"])
-        for i, j, w in net.edges():
-            out.writerow([net.node_ids[i], net.node_ids[j], w])
+        out.writerows(rows)
 
 
 def write_nodes_csv(net: CitationNetwork, path, in_degree=None, centrality=None) -> None:

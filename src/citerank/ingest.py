@@ -19,6 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, ParseError
 from .network import CitationNetwork
 
@@ -294,22 +296,27 @@ def build_network(
     """
     if not retained:
         raise InputError("retained institution set is empty; nothing to build")
+    nodes = tuple(sorted(retained))
+    index = {inst: k for k, inst in enumerate(nodes)}
     dataset_ids = {rec.pub_id for rec in records}
-    totals: Counter[tuple[str, str]] = Counter()
+    sources: list[int] = []
+    targets: list[int] = []
     for rec in records:
-        citing = [a for a in rec.affiliations if a in retained]
+        citing = [index[a] for a in rec.affiliations if a in index]
         if not citing:
             continue
         for ref in rec.references:
             if ref.pub_id is None or ref.pub_id not in dataset_ids:
                 continue
-            cited = [b for b in ref.affiliations if b in retained]
+            cited = [index[b] for b in ref.affiliations if b in index]
             for a in citing:
-                for b in cited:
-                    if a == b and not keep_self_loops:
-                        continue
-                    totals[(a, b)] += 1
-    nodes = tuple(sorted(retained))
-    index = {inst: k for k, inst in enumerate(nodes)}
-    weights = {(index[a], index[b]): w for (a, b), w in totals.items()}
-    return CitationNetwork.build(nodes, weights, subject=profile.name, keep_self_loops=keep_self_loops)
+                sources.extend([a] * len(cited))
+                targets.extend(cited)
+    return CitationNetwork.build(
+        nodes,
+        sources,
+        targets,
+        np.ones(len(sources), dtype=np.int64),
+        subject=profile.name,
+        keep_self_loops=keep_self_loops,
+    )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -28,47 +30,144 @@ __all__ = [
     "network_summary",
 ]
 
+INT64_MAX = 2**63 - 1
 
-@dataclass(frozen=True)
+
+def _int64(values, what: str) -> np.ndarray:
+    """A new int64 array of values; ValueError unless each is an int64 integer."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    integral = arr.dtype.kind in "iu" or (  # Python ints beyond uint64 make an object array
+        arr.dtype.kind == "O"
+        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.tolist())
+    )
+    if not integral:
+        raise ValueError(f"{what} must be integers, got {arr.dtype}")
+    if arr.dtype.kind != "i" and (arr.min() < -INT64_MAX - 1 or arr.max() > INT64_MAX):
+        raise ValueError(f"{what} beyond the int64 range")
+    return arr.astype(np.int64)
+
+
+def _edge_columns(source, target, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    columns = (
+        _int64(source, "source indices"),
+        _int64(target, "target indices"),
+        _int64(weight, "edge weights"),
+    )
+    if len({c.size for c in columns}) > 1:
+        raise ValueError("source, target and weight must have one length")
+    return columns
+
+
+def _first(mask: np.ndarray, *arrays: np.ndarray) -> list[int]:
+    k = int(np.argmax(mask))
+    return [int(a[k]) for a in arrays]
+
+
+def _check_edges(n: int, source, target, weight, self_loops: bool) -> None:
+    """Raise ValueError for the first edge out of range, non-positive, or a stray self-loop."""
+    bad = (source < 0) | (source >= n) | (target < 0) | (target >= n)
+    if bad.any():
+        i, j = _first(bad, source, target)
+        raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+    bad = weight <= 0
+    if bad.any():
+        i, j, w = _first(bad, source, target, weight)
+        raise ValueError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
+    if not self_loops:
+        bad = source == target
+        if bad.any():
+            (i,) = _first(bad, source)
+            raise ValueError(f"self-loop at node {i} but self_loops_included is False")
+
+
+def _check_total(weight: np.ndarray) -> None:
+    """Raise ValueError when the positive weights sum past the int64 range."""
+    if weight.size and int(weight.max()) > INT64_MAX // weight.size:
+        total = sum(weight.tolist())
+        if total > INT64_MAX:
+            raise ValueError(f"total weight {total} is beyond the int64 range")
+
+
+@dataclass(frozen=True, eq=False)
 class CitationNetwork:
     """Immutable weighted directed graph over an ordered set of institutions.
 
-    weights maps (source index, target index) -> positive integer citation
-    count; zero-weight pairs are simply absent. Instances are safe to share
-    between threads; every operation in this module is a pure function.
+    Edge k runs from node source[k] to node target[k] with positive integer
+    citation count weight[k]; zero-weight pairs are simply absent. The three
+    int64 arrays are read-only and sorted by (source, target) index, each
+    pair at most once. Instances are safe to share between threads; every
+    operation in this module is a pure function. Use build() to assemble a
+    network from unsorted, repeated pairs.
     """
 
     node_ids: tuple[str, ...]
-    weights: Mapping[tuple[int, int], int]
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
     subject: str = ""
     self_loops_included: bool = False
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_ids", tuple(self.node_ids))
-        object.__setattr__(self, "weights", dict(self.weights))
-        n = len(self.node_ids)
-        if len(set(self.node_ids)) != n:
+        ids = tuple(self.node_ids)
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        if len(index) != n:
             raise ValueError("node identifiers must be unique")
-        for (i, j), w in self.weights.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-            if not isinstance(w, (int, np.integer)) or isinstance(w, bool) or w <= 0:
-                raise ValueError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
-            if i == j and not self.self_loops_included:
-                raise ValueError(f"self-loop at node {i} but self_loops_included is False")
+        source, target, weight = _edge_columns(self.source, self.target, self.weight)
+        _check_edges(n, source, target, weight, self.self_loops_included)
+        keys = source * n + target
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("edges must be distinct and sorted by (source, target)")
+        _check_total(weight)
+        for name, arr in (("source", source), ("target", target), ("weight", weight)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "node_ids", ids)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def build(
         cls,
         node_ids: Iterable[str],
-        weights: Mapping[tuple[int, int], int],
+        source,
+        target,
+        weight,
         subject: str = "",
         keep_self_loops: bool = False,
     ) -> "CitationNetwork":
-        """Construct a network, dropping self-loops unless explicitly kept."""
+        """Assemble a network from (source[k], target[k], weight[k]) index triples.
+
+        Pairs may come in any order and repeat; repeats add up. Self-loops
+        are dropped unless explicitly kept.
+        """
+        ids = tuple(node_ids)
+        n = len(ids)
+        source, target, weight = _edge_columns(source, target, weight)
+        _check_edges(n, source, target, weight, self_loops=True)
         if not keep_self_loops:
-            weights = {(i, j): w for (i, j), w in weights.items() if i != j}
-        return cls(tuple(node_ids), weights, subject, keep_self_loops)
+            kept = source != target
+            source, target, weight = source[kept], target[kept], weight[kept]
+        keys = source * n + target
+        order = np.argsort(keys)  # integer sums do not depend on the order of repeats
+        keys, weight = keys[order], weight[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # first of each run of equal keys
+        if weight.size and int(weight.max()) > INT64_MAX // weight.size:
+            # a sum may pass int64: add in Python ints first
+            exact = np.add.reduceat(weight.astype(object), starts)
+            over = np.flatnonzero(exact > INT64_MAX)
+            if over.size:
+                i, j = divmod(int(keys[starts[over[0]]]), n)
+                raise ValueError(
+                    f"edge ({i}, {j}) from {ids[i]!r} to {ids[j]!r} has total weight "
+                    f"{exact[over[0]]}, beyond the int64 range"
+                )
+        keys, weight = keys[starts], np.add.reduceat(weight, starts)
+        return cls(ids, keys // n, keys % n, weight, subject, keep_self_loops)
 
     @classmethod
     def from_edges(
@@ -84,16 +183,29 @@ class CitationNetwork:
         union of all endpoint ids and extra_nodes, so the result does not
         depend on edge order.
         """
-        totals: Counter[tuple[str, str]] = Counter()
-        nodes = set(extra_nodes)
-        for src, dst, w in edges:
-            nodes.add(src)
-            nodes.add(dst)
-            totals[(src, dst)] += int(w)
-        ordered = tuple(sorted(nodes))
-        index = {node: k for k, node in enumerate(ordered)}
-        weights = {(index[s], index[t]): w for (s, t), w in totals.items()}
-        return cls.build(ordered, weights, subject, keep_self_loops)
+        edges = list(edges)
+        sources = [e[0] for e in edges]
+        targets = [e[1] for e in edges]
+        ordered = tuple(sorted(set(sources).union(targets, extra_nodes)))
+        index = dict(zip(ordered, range(len(ordered))))
+        m = len(sources)
+        return cls.build(
+            ordered,
+            np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=m),
+            np.fromiter(map(index.__getitem__, targets), dtype=np.int64, count=m),
+            [e[2] for e in edges],
+            subject,
+            keep_self_loops,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CitationNetwork):
+            return NotImplemented
+        labels = (self.node_ids, self.subject, self.self_loops_included)
+        arrays = ("source", "target", "weight")
+        return labels == (other.node_ids, other.subject, other.self_loops_included) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -101,29 +213,46 @@ class CitationNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.weights)
+        return self.source.size
 
     @property
     def total_weight(self) -> int:
-        return sum(self.weights.values())
+        return int(self.weight.sum())
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[int, int], int]:
+        """Read-only mapping (source index, target index) -> weight."""
+        pairs = zip(self.source.tolist(), self.target.tolist())
+        return MappingProxyType(dict(zip(pairs, self.weight.tolist())))
 
     def index_of(self, node_id: str) -> int:
-        return self.node_ids.index(node_id)
+        try:
+            return self._index[node_id]
+        except KeyError:
+            raise ValueError(f"{node_id!r} is not a node of this network") from None
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.weights
+        lo, hi = np.searchsorted(self.source, (i, i + 1))
+        return bool(np.any(self.target[lo:hi] == j))
+
+    def id_order(self) -> np.ndarray:
+        """Permutation of the edge arrays that sorts edges by (source id, target id)."""
+        n = self.n_nodes
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=self.node_ids.__getitem__)] = np.arange(n)
+        return np.argsort(rank[self.source] * n + rank[self.target])  # keys are distinct
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (source, target, weight), sorted by node id for determinism."""
-        order = sorted(self.weights, key=lambda e: (self.node_ids[e[0]], self.node_ids[e[1]]))
-        for i, j in order:
-            yield i, j, self.weights[(i, j)]
+        order = self.id_order()
+        return zip(
+            self.source[order].tolist(), self.target[order].tolist(), self.weight[order].tolist()
+        )
 
     def to_dense(self) -> np.ndarray:
         """Dense weight matrix; intended for small networks and test oracles."""
         mat = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
-        for (i, j), w in self.weights.items():
-            mat[i, j] = w
+        mat[self.source, self.target] = self.weight
         return mat
 
 
@@ -150,10 +279,7 @@ def in_degree(net: CitationNetwork) -> np.ndarray:
     Counts adjacency, not weight: an institution citing a node 50 times
     contributes 1. Self-loops never count, even when stored.
     """
-    m = net.n_edges
-    src = np.fromiter((i for i, _j in net.weights), dtype=np.int64, count=m)
-    dst = np.fromiter((j for _i, j in net.weights), dtype=np.int64, count=m)
-    return np.bincount(dst[src != dst], minlength=net.n_nodes)
+    return np.bincount(net.target[net.source != net.target], minlength=net.n_nodes)
 
 
 def degree_centrality(net: CitationNetwork) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetworkError, NumericError, OracleSizeError
+from .errors import EmptyNetworkError, NumericError
 from .network import CitationNetwork
 
 __all__ = [
@@ -28,10 +28,7 @@ __all__ = [
     "TransitionMatrix",
     "normalize_weights",
     "pagerank",
-    "pagerank_oracle",
 ]
-
-ORACLE_MAX_NODES = 200
 
 
 class DanglingPolicy(str, enum.Enum):
@@ -96,15 +93,12 @@ class TransitionMatrix:
 
 def normalize_weights(net: CitationNetwork) -> TransitionMatrix:
     """Normalize each node's outgoing weights to sum to 1, flag dangling nodes."""
-    m = net.n_edges
-    src = np.fromiter((i for i, _j in net.weights), dtype=np.int64, count=m)
-    dst = np.fromiter((j for _i, j in net.weights), dtype=np.int64, count=m)
-    w = np.fromiter(net.weights.values(), dtype=np.float64, count=m)
-    out_sum = np.bincount(src, weights=w, minlength=net.n_nodes)
-    order = np.lexsort((src, dst))
-    src, dst = src[order], dst[order]
+    w = net.weight.astype(np.float64)
+    out_sum = np.bincount(net.source, weights=w, minlength=net.n_nodes)
+    order = np.argsort(net.target * net.n_nodes + net.source)  # by (target, source); keys are distinct
+    src = net.source[order]
     return TransitionMatrix(
-        target=dst, source=src, share=w[order] / out_sum[src], dangling=out_sum == 0.0
+        target=net.target[order], source=src, share=w[order] / out_sum[src], dangling=out_sum == 0.0
     )
 
 
@@ -144,29 +138,3 @@ def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRan
             return PageRankResult(pi, iterations, True, delta)
     return PageRankResult(pi, iterations, False, delta)
 
-
-def pagerank_oracle(net: CitationNetwork, cfg: PageRankConfig | None = None) -> np.ndarray:
-    """Dense direct solve of the PageRank fixed point; test reference only.
-
-    Builds the full N x N transition matrix under the same dangling policy
-    and solves the linear system exactly. Refuses networks with more than
-    ORACLE_MAX_NODES nodes.
-    """
-    if cfg is None:
-        cfg = PageRankConfig()
-    n = net.n_nodes
-    if n == 0:
-        raise EmptyNetworkError("cannot compute PageRank of an empty network")
-    if n > ORACLE_MAX_NODES:
-        raise OracleSizeError(f"dense oracle capped at {ORACLE_MAX_NODES} nodes, got {n}")
-    weights = net.to_dense().astype(np.float64)
-    out_sum = weights.sum(axis=1)
-    trans = np.zeros((n, n))
-    for i in range(n):
-        if out_sum[i] > 0:
-            trans[:, i] = weights[i, :] / out_sum[i]
-        elif cfg.dangling_policy is DanglingPolicy.UNIFORM:
-            trans[:, i] = 1.0 / n
-    d = cfg.damping
-    rhs = np.full(n, (1.0 - d) / n)
-    return np.linalg.solve(np.eye(n) - d * trans, rhs)

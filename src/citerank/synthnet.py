@@ -199,7 +199,8 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
     received = [0] * n
     weight_of = _attachment_weights(64, exponent)  # indexed by citations received
     tree = _SumTree([weight_of[0]] * n)
-    weights: dict[tuple[int, int], int] = {}
+    sources: list[int] = []
+    targets: list[int] = []
     for source in range(n):
         n_out = int(rng.poisson(cfg.mean_out_citations))
         if n == 1 or n_out == 0:
@@ -207,7 +208,8 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
         tree.set(source, 0.0)
         for _ in range(n_out):
             target = _draw(tree, received, source, exponent, rng.random())
-            weights[(source, target)] = weights.get((source, target), 0) + 1
+            sources.append(source)
+            targets.append(target)
             received[target] += 1
             count = received[target]
             if count == len(weight_of):
@@ -215,6 +217,7 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
             tree.set(target, weight_of[count])
         tree.set(source, weight_of[received[source]])
 
+    weights = [1] * len(sources)
     members: tuple[str, ...] = ()
     if cfg.cartel is not None:
         # least-cited nodes form the cartel; ties broken by node index
@@ -225,9 +228,11 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
         for a in member_idx:
             for b in member_idx:
                 if a != b:
-                    weights[(a, b)] = weights.get((a, b), 0) + boost
+                    sources.append(a)
+                    targets.append(b)
+                    weights.append(boost)
 
-    net = CitationNetwork.build(ids, weights, subject=f"synthetic-{cfg.seed}")
+    net = CitationNetwork.build(ids, sources, targets, weights, subject=f"synthetic-{cfg.seed}")
     return SynthResult(network=net, cartel_members=members)
 
 

@@ -32,7 +32,6 @@ from citerank import (
     kendall_w,
     normalize_pagerank,
     pagerank,
-    pagerank_oracle,
     parse_records,
     pearson,
     partial_correlation,
@@ -45,7 +44,7 @@ from citerank.ingest import SubjectProfile
 from citerank.rankstats import partial_from_pairwise
 from citerank.scoring import ScoreTable
 
-from conftest import make_random_network
+from conftest import build_from_dict, make_random_network, pagerank_oracle
 from test_rankstats import (
     displacement_oracle,
     kendall_w_oracle,
@@ -156,7 +155,7 @@ def test_criterion_3_pagerank_invariants():
         perm = rng.permutation(net.n_nodes)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(net.n_nodes)
-        permuted = CitationNetwork.build(
+        permuted = build_from_dict(
             tuple(net.node_ids[k] for k in perm),
             {(int(inverse[i]), int(inverse[j])): w for (i, j), w in net.weights.items()},
         )

@@ -198,6 +198,23 @@ def test_pagerank_bad_edge_list_exits_one(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["a,b,9223372036854775808"], "edges.csv:2: weight 9223372036854775808 is beyond the int64 range"),
+        (["a,b,4611686018427387904", "a,b,4611686018427387904"],
+         "edge (0, 1) from 'a' to 'b' has total weight 9223372036854775808, beyond the int64 range"),
+    ],
+)
+def test_pagerank_weights_beyond_int64_exit_one(tmp_path, capsys, rows, message):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,weight\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "pr"
+    assert main(["pagerank", str(edges), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "ranking.csv").exists()
+
+
 def test_pagerank_bad_damping_exits_one(cycle_edges, tmp_path, capsys):
     rc = main(["pagerank", str(cycle_edges), "--damping", "1.5", "--out", str(tmp_path / "pr")])
     assert rc == 1
@@ -396,6 +413,16 @@ def test_synth_edge_list_stream_is_pinned(tmp_path):
     assert digest == "77a4363a4c91ba4a47aac2aa11c59ca4406b6e7c9f8cee53c94107572e2d5eba"
 
 
+def test_pagerank_ranking_of_synth_network_is_pinned(tmp_path):
+    out = tmp_path / "s"
+    args = ["synth", "--nodes", "500", "--mean-out", "4", "--seed", "17",
+            "--cartel-size", "5", "--cartel-boost", "10", "--out", str(out)]
+    assert main(args) == 0
+    assert main(["pagerank", str(out / "edges.csv"), "--out", str(tmp_path / "pr")]) == 0
+    digest = hashlib.sha256((tmp_path / "pr" / "ranking.csv").read_bytes()).hexdigest()
+    assert digest == "fa49374405a044a244fefde65e797c310b05687f825f893ed04573272414b8d0"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -404,6 +431,7 @@ def test_synth_edge_list_stream_is_pinned(tmp_path):
         (["--mean-out", "inf"], "mean_out_citations must be finite"),
         (["--exponent", "400"], "overflow"),
         (["--cartel-size", "1", "--cartel-boost", "5"], "a cartel needs at least 2 members"),
+        (["--cartel-boost", "5"], "--cartel-boost requires --cartel-size"),
     ],
 )
 def test_synth_bad_parameters_exit_one(tmp_path, capsys, flags, message):

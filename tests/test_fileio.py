@@ -1,3 +1,7 @@
+import csv
+import io
+import random
+
 import numpy as np
 import pytest
 
@@ -40,6 +44,49 @@ def test_edge_list_rejects_bad_rows(tmp_path):
     path.write_text("source,target,weight\na,b\n")
     with pytest.raises(TableFormatError, match="3 fields"):
         read_edge_list(path)
+
+
+def test_edge_list_rejects_weight_beyond_int64(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("source,target,weight\na,b,9223372036854775807\nb,a,9223372036854775808\n")
+    with pytest.raises(TableFormatError, match=r"edges\.csv:3: weight 9223372036854775808 is beyond"):
+        read_edge_list(path)
+
+
+def test_from_edges_ignores_row_order(tmp_path):
+    rng = random.Random(2000)
+    ids = [f"inst-{k:04d}" for k in range(2000)]
+    rows = [(rng.choice(ids), rng.choice(ids), rng.randint(1, 5)) for _ in range(6000)]
+    rows += rows[:1500]  # repeated rows accumulate
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    nets = [CitationNetwork.from_edges(r) for r in (rows, shuffled)]
+    for name in ("source", "target", "weight"):
+        assert np.array_equal(getattr(nets[0], name), getattr(nets[1], name))
+    assert nets[0].node_ids == nets[1].node_ids
+    assert nets[0] == nets[1]
+    assert nets[0] != CitationNetwork.from_edges(rows[1:])
+    written = []
+    for k, net in enumerate(nets):
+        write_edge_list(net, tmp_path / f"edges{k}.csv")
+        written.append((tmp_path / f"edges{k}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_edge_list_rows_sorted_by_id_with_csv_quoting(tmp_path):
+    ids = ["zeta", 'say "hi"', "b,c", "alpha", "b", 'q,"x"']
+    rng = np.random.default_rng(6)
+    src = rng.integers(0, len(ids), size=60)
+    dst = rng.integers(0, len(ids), size=60)
+    w = rng.integers(1, 4, size=60)
+    net = CitationNetwork.build(ids, src, dst, w)
+    path = tmp_path / "edges.csv"
+    write_edge_list(net, path)
+    expected = io.StringIO(newline="")
+    out = csv.writer(expected)
+    out.writerow(["source", "target", "weight"])
+    out.writerows(sorted((ids[i], ids[j], x) for (i, j), x in net.weights.items()))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_score_table_round_trip(tmp_path):

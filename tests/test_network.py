@@ -12,7 +12,7 @@ from citerank import (
 )
 from citerank.errors import DegenerateNetworkError
 
-from conftest import make_random_network
+from conftest import build_from_dict, make_random_network
 
 
 # ---------------------------------------------------------------------------
@@ -22,28 +22,28 @@ from conftest import make_random_network
 
 def test_rejects_duplicate_node_ids():
     with pytest.raises(ValueError, match="unique"):
-        CitationNetwork(("a", "a"), {})
+        build_from_dict(("a", "a"), {})
 
 
 def test_rejects_zero_and_negative_weights():
     with pytest.raises(ValueError):
-        CitationNetwork(("a", "b"), {(0, 1): 0})
+        build_from_dict(("a", "b"), {(0, 1): 0})
     with pytest.raises(ValueError):
-        CitationNetwork(("a", "b"), {(0, 1): -3})
+        build_from_dict(("a", "b"), {(0, 1): -3})
 
 
 def test_rejects_out_of_range_indices():
     with pytest.raises(ValueError, match="out of range"):
-        CitationNetwork(("a", "b"), {(0, 2): 1})
+        build_from_dict(("a", "b"), {(0, 2): 1})
 
 
 def test_self_loops_dropped_by_default_and_kept_on_request():
     weights = {(0, 0): 5, (0, 1): 2}
-    net = CitationNetwork.build(("a", "b"), weights)
+    net = build_from_dict(("a", "b"), weights)
     assert (0, 0) not in net.weights
     assert net.self_loops_included is False
 
-    kept = CitationNetwork.build(("a", "b"), weights, keep_self_loops=True)
+    kept = build_from_dict(("a", "b"), weights, keep_self_loops=True)
     assert kept.weights[(0, 0)] == 5
     assert kept.self_loops_included is True
 
@@ -55,6 +55,69 @@ def test_from_edges_accumulates_and_sorts_nodes():
     assert net.node_ids == ("a", "m", "q", "z")
     z, m = net.index_of("z"), net.index_of("m")
     assert net.weights[(z, m)] == 5
+
+
+def test_build_matches_dict_accumulation():
+    rng = np.random.default_rng(404)
+    for keep in (False, True):
+        n = 40
+        src = rng.integers(0, n, size=3000)
+        dst = rng.integers(0, n, size=3000)
+        w = rng.integers(1, 6, size=3000)
+        expected = {}
+        for i, j, x in zip(src.tolist(), dst.tolist(), w.tolist()):
+            if i != j or keep:
+                expected[(i, j)] = expected.get((i, j), 0) + x
+        ids = [f"n{k}" for k in rng.permutation(n)]
+        net = CitationNetwork.build(ids, src, dst, w, keep_self_loops=keep)
+        assert dict(net.weights) == expected
+        assert list(zip(net.source.tolist(), net.target.tolist())) == sorted(expected)
+        assert net.total_weight == sum(expected.values())
+
+
+def test_edge_arrays_and_weights_view_are_read_only():
+    net = CitationNetwork.from_edges([("a", "b", 2), ("b", "c", 1)])
+    for arr in (net.source, net.target, net.weight):
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[0] = 3
+    with pytest.raises(TypeError):
+        net.weights[(0, 1)] = 3
+    assert net.weights == {(0, 1): 2, (1, 2): 1}
+
+
+def test_build_does_not_alias_caller_arrays():
+    source, target, weight = np.array([0]), np.array([1]), np.array([4])
+    net = CitationNetwork.build(("a", "b"), source, target, weight)
+    weight[0] = 9
+    assert net.weight.tolist() == [4]
+    assert weight.flags.writeable
+
+
+def test_constructor_rejects_unsorted_or_repeated_pairs():
+    with pytest.raises(ValueError, match="sorted"):
+        CitationNetwork(("a", "b"), [1, 0], [0, 1], [1, 1])
+    with pytest.raises(ValueError, match="sorted"):
+        CitationNetwork(("a", "b"), [0, 0], [1, 1], [1, 1])
+
+
+def test_rejects_non_integer_weights():
+    with pytest.raises(ValueError, match="integers"):
+        CitationNetwork.build(("a", "b"), [0], [1], [1.5])
+
+
+def test_weights_beyond_int64_are_rejected():
+    half = 2**62
+    with pytest.raises(ValueError, match="int64"):
+        CitationNetwork.build(("a", "b"), [0], [1], [2**63])
+    # one pair summing past int64 names the pair instead of wrapping negative
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) from 'a' to 'b' has total weight 9223372036854775808"):
+        CitationNetwork.build(("a", "b"), [0, 0], [1, 1], [half, half])
+    with pytest.raises(ValueError, match="total weight 9223372036854775808"):
+        CitationNetwork.build(("a", "b", "c"), [0, 1], [1, 2], [half, half])
+    net = CitationNetwork.build(("a", "b", "c"), [0, 1], [1, 2], [half, half - 1])
+    assert net.total_weight == 2**63 - 1
+    assert type(net.total_weight) is int
 
 
 def test_adjacency_matches_weights():
@@ -78,7 +141,7 @@ def test_in_degree_star():
 
 
 def test_in_degree_isolated_node():
-    net = CitationNetwork.build(("a", "b", "c"), {(0, 1): 1})
+    net = build_from_dict(("a", "b", "c"), {(0, 1): 1})
     assert in_degree(net)[2] == 0
 
 
@@ -93,12 +156,12 @@ def test_in_degree_counts_citers_not_weight():
 
 
 def test_in_degree_ignores_self_loops_even_when_stored():
-    net = CitationNetwork.build(("a", "b"), {(0, 0): 4, (1, 0): 1}, keep_self_loops=True)
+    net = build_from_dict(("a", "b"), {(0, 0): 4, (1, 0): 1}, keep_self_loops=True)
     assert in_degree(net).tolist() == [1, 0]
 
 
 def test_in_degree_empty_network():
-    net = CitationNetwork.build((), {})
+    net = build_from_dict((), {})
     assert in_degree(net).size == 0
 
 
@@ -142,7 +205,7 @@ def test_centrality_in_unit_interval_random():
 
 def test_centrality_rejects_degenerate_network():
     with pytest.raises(DegenerateNetworkError):
-        degree_centrality(CitationNetwork.build(("only",), {}))
+        degree_centrality(build_from_dict(("only",), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +223,7 @@ def test_centrality_distribution_three_node_fixture(three_node_net):
 
 
 def test_centrality_distribution_empty_edge_set():
-    net = CitationNetwork.build(("a", "b", "c", "d"), {})
+    net = build_from_dict(("a", "b", "c", "d"), {})
     assert centrality_distribution(net) == [(0.0, 1.0)]
 
 
@@ -186,7 +249,7 @@ def test_summary_three_node_fixture(three_node_net):
 
 
 def test_summary_empty_network():
-    s = network_summary(CitationNetwork.build((), {}))
+    s = network_summary(build_from_dict((), {}))
     assert (s.nodes, s.citations, s.edges) == (0, 0, 0)
 
 

@@ -7,11 +7,10 @@ from citerank import (
     PageRankConfig,
     normalize_weights,
     pagerank,
-    pagerank_oracle,
 )
-from citerank.errors import EmptyNetworkError, OracleSizeError
+from citerank.errors import EmptyNetworkError
 
-from conftest import make_random_network
+from conftest import OracleSizeError, build_from_dict, make_random_network, pagerank_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ def test_normalize_proportional_split():
 
 
 def test_normalize_all_dangling_without_edges():
-    net = CitationNetwork.build(("a", "b", "c"), {})
+    net = build_from_dict(("a", "b", "c"), {})
     assert normalize_weights(net).dangling.all()
 
 
@@ -105,7 +104,7 @@ def test_two_node_chain_matches_dense_solution():
 
 
 def test_empty_network_is_an_error():
-    net = CitationNetwork.build((), {})
+    net = build_from_dict((), {})
     with pytest.raises(EmptyNetworkError):
         pagerank(net)
     with pytest.raises(EmptyNetworkError):
@@ -122,14 +121,14 @@ def test_non_convergence_returns_best_iterate():
 
 
 def test_single_node_network():
-    net = CitationNetwork.build(("only",), {})
+    net = build_from_dict(("only",), {})
     res = pagerank(net)
     assert res.converged
     assert res.scores[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_refuses_oversized_networks():
-    net = CitationNetwork.build(tuple(f"n{i}" for i in range(201)), {})
+    net = build_from_dict(tuple(f"n{i}" for i in range(201)), {})
     with pytest.raises(OracleSizeError):
         pagerank_oracle(net)
 
@@ -189,13 +188,13 @@ def test_permutation_equivariance():
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(net.n_nodes)
         weights = {(int(inverse[i]), int(inverse[j])): w for (i, j), w in net.weights.items()}
-        permuted = CitationNetwork.build(ids, weights)
+        permuted = build_from_dict(ids, weights)
         scores = pagerank(permuted).scores
         assert np.max(np.abs(scores[inverse] - base)) < 1e-12
 
 
 def test_self_loops_participate_when_kept():
-    net = CitationNetwork.build(
+    net = build_from_dict(
         ("a", "b"), {(0, 0): 3, (0, 1): 1, (1, 0): 1}, keep_self_loops=True
     )
     cfg = PageRankConfig()
@@ -259,7 +258,7 @@ def test_matches_csr_power_iteration_bit_for_bit(policy):
     weights = {}
     for i, j, w in zip(src[keep].tolist(), dst[keep].tolist(), counts.tolist()):
         weights[(i, j)] = weights.get((i, j), 0) + w
-    net = CitationNetwork.build([f"inst{k:04d}" for k in rng.permutation(n)], weights)
+    net = build_from_dict([f"inst{k:04d}" for k in rng.permutation(n)], weights)
     cfg = PageRankConfig(dangling_policy=policy)
     res = pagerank(net, cfg)
     expected, iterations = csr_power_iteration(net, cfg)

@@ -6,7 +6,8 @@ import pytest
 from citerank import CartelSpec, SynthConfig, generate, generate_traced, in_degree
 from citerank import synthnet
 from citerank.errors import NumericError
-from citerank.network import CitationNetwork
+
+from conftest import build_from_dict
 
 
 def _reference_generate(cfg):
@@ -39,7 +40,7 @@ def _reference_generate(cfg):
                 if a != b:
                     weights[(a, b)] = weights.get((a, b), 0) + boost
 
-    net = CitationNetwork.build(ids, weights, subject=f"synthetic-{cfg.seed}")
+    net = build_from_dict(ids, weights, subject=f"synthetic-{cfg.seed}")
     return synthnet.SynthResult(network=net, cartel_members=members)
 
 
