@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -99,13 +99,7 @@ def _pick_profile(profiles: dict[str, ingest.SubjectProfile], name: str) -> inge
 def _cmd_build(args) -> int:
     profile = _pick_profile(_load_profiles(args.profiles), args.subject)
     if args.threshold is not None:
-        profile = ingest.SubjectProfile(
-            name=profile.name,
-            category=profile.category,
-            publication_threshold=args.threshold,
-            year_range=profile.year_range,
-            indicator_weights=profile.indicator_weights,
-        )
+        profile = replace(profile, publication_threshold=args.threshold)
     records_path = _require_file(args.records)
     with open(records_path, encoding="utf-8") as handle:
         parsed = ingest.parse_records(handle, strict=args.strict)
@@ -123,13 +117,8 @@ def _cmd_build(args) -> int:
         },
     )
     if parsed.issues:
-        import csv as _csv
-
-        with open(out / "parse_issues.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(["line", "message"])
-            for issue in parsed.issues:
-                writer.writerow([issue.line, issue.message])
+        issues = ([issue.line, issue.message] for issue in parsed.issues)
+        fileio.write_csv(out / "parse_issues.csv", ["line", "message"], issues)
         manifest.outputs.append("parse_issues.csv")
         print(f"skipped {len(parsed.issues)} malformed line(s); see parse_issues.csv")
     if not parsed.records:
@@ -157,9 +146,7 @@ def _cmd_build(args) -> int:
     summary = network.network_summary(net)
     report = network.degree_report(net)
     fileio.write_edge_list(net, out / "edges.csv")
-    fileio.write_nodes_csv(
-        net, out / "nodes.csv", in_degree=report.in_degree, centrality=report.degree_centrality
-    )
+    fileio.write_nodes_csv(net, out / "nodes.csv", report.in_degree, report.degree_centrality)
     fileio.write_distribution_csv(report.centrality_distribution, out / "centrality_distribution.csv")
     fileio.write_json(
         {
@@ -173,12 +160,12 @@ def _cmd_build(args) -> int:
         },
         out / "summary.json",
     )
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as handle:
-        handle.write("nodes,citations,edges,self_loops_included\n")
-        handle.write(
-            f"{summary.nodes},{summary.citations},{summary.edges},"
-            f"{str(summary.self_loops_included).lower()}\n"
-        )
+    fileio.write_csv(
+        out / "summary.csv",
+        ["nodes", "citations", "edges", "self_loops_included"],
+        [[summary.nodes, summary.citations, summary.edges, str(summary.self_loops_included).lower()]],
+        lineterminator="\n",
+    )
     manifest.outputs += [
         "edges.csv", "nodes.csv", "centrality_distribution.csv", "summary.json", "summary.csv",
     ]
@@ -243,30 +230,32 @@ def _cmd_compare(args) -> int:
     )
     out = _prepare_out(args.out)
     fileio.write_json(report.to_dict(), out / "report.json")
-    with open(out / "report.csv", "w", newline="", encoding="utf-8") as handle:
-        handle.write("statistic,value\n")
-        rows = [
-            ("pearson_r", report.pearson_r),
-            ("pearson_p", report.pearson_p),
-            ("spearman_rho", report.spearman_rho),
-            ("spearman_p", report.spearman_p),
-            ("kendall_w", report.kendall_w),
-        ]
-        for name in sorted(report.partial):
-            r, p = report.partial[name]
-            rows.append((f"partial_r_given_{name}", r))
-            rows.append((f"partial_p_given_{name}", p))
-        d = report.displacement
-        rows += [
-            ("displacement_n", d.n),
-            ("displacement_mean", d.mean),
-            ("displacement_std", d.std),
-            ("displacement_p50", d.p50),
-            ("displacement_p75", d.p75),
-            ("displacement_p90", d.p90),
-        ]
-        for name, value in rows:
-            handle.write(f"{name},{fileio.fmt(value)}\n")
+    rows = [
+        ("pearson_r", report.pearson_r),
+        ("pearson_p", report.pearson_p),
+        ("spearman_rho", report.spearman_rho),
+        ("spearman_p", report.spearman_p),
+        ("kendall_w", report.kendall_w),
+    ]
+    for name in sorted(report.partial):
+        r, p = report.partial[name]
+        rows.append((f"partial_r_given_{name}", r))
+        rows.append((f"partial_p_given_{name}", p))
+    d = report.displacement
+    rows += [
+        ("displacement_n", d.n),
+        ("displacement_mean", d.mean),
+        ("displacement_std", d.std),
+        ("displacement_p50", d.p50),
+        ("displacement_p75", d.p75),
+        ("displacement_p90", d.p90),
+    ]
+    fileio.write_csv(
+        out / "report.csv",
+        ["statistic", "value"],
+        ([name, fileio.fmt(value)] for name, value in rows),
+        lineterminator="\n",
+    )
     manifest = RunManifest(
         command="compare",
         inputs={"table": args.table},
@@ -303,16 +292,16 @@ def _cmd_pca(args) -> int:
         manifest.outputs.append("derived_correlations.csv")
     result = rankstats.pca(matrix, retain=args.retain, variables=names)
 
-    with open(out / "variance.csv", "w", newline="", encoding="utf-8") as handle:
-        handle.write("component,eigenvalue,explained_share,rotated_variance_share\n")
-        for k in range(len(result.eigenvalues)):
-            rotated = (
-                fileio.fmt(result.rotated_variance_share[k]) if k < result.retained else ""
-            )
-            handle.write(
-                f"{k + 1},{fileio.fmt(result.eigenvalues[k])},"
-                f"{fileio.fmt(result.explained_share[k])},{rotated}\n"
-            )
+    rotated = [fileio.fmt(share) for share in result.rotated_variance_share[: result.retained]]
+    fileio.write_csv(
+        out / "variance.csv",
+        ["component", "eigenvalue", "explained_share", "rotated_variance_share"],
+        (
+            [k + 1, fileio.fmt(value), fileio.fmt(share), rotated[k] if k < len(rotated) else ""]
+            for k, (value, share) in enumerate(zip(result.eigenvalues, result.explained_share))
+        ),
+        lineterminator="\n",
+    )
     fileio.write_loadings_csv(result.variables, result.loadings, out / "loadings_initial.csv")
     fileio.write_loadings_csv(result.variables, result.rotated_loadings, out / "loadings_rotated.csv")
     fileio.write_json(result.to_dict(), out / "pca.json")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .scoring import ScoreTable
 __all__ = [
     "fmt",
     "bundled_data",
+    "write_csv",
     "read_edge_list",
     "write_edge_list",
     "write_nodes_csv",
@@ -47,8 +48,32 @@ def bundled_data(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def _writer(path):
-    return open(path, "w", newline="", encoding="utf-8")
+def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="\r\n") -> None:
+    """Write a header and rows as UTF-8 CSV, quoting fields per RFC 4180 where needed."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        out = csv.writer(handle, lineterminator=lineterminator)
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def _read_rows(path, width: int | None = None) -> Iterator:
+    """Yield the stripped header, then (file line number, stripped fields) per non-blank row.
+
+    Every row must have `width` fields, by default as many as the header.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = [field.strip() for field in next(reader, [])]
+        yield header
+        width = width or len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise TableFormatError(
+                    f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            yield reader.line_num, [field.strip() for field in row]
 
 
 # ---------------------------------------------------------------------------
@@ -58,29 +83,22 @@ def _writer(path):
 
 def read_edge_list(path) -> list[tuple[str, str, int]]:
     """Read a `source,target,weight` CSV into edge triples."""
+    rows = _read_rows(path, width=3)
+    if next(rows)[:3] != ["source", "target", "weight"]:
+        raise TableFormatError(f"{path}: expected header 'source,target,weight'")
     edges: list[tuple[str, str, int]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["source", "target", "weight"]:
-            raise TableFormatError(f"{path}: expected header 'source,target,weight'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise TableFormatError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            src, dst, raw_w = (field.strip() for field in row)
-            try:
-                w = int(raw_w)
-            except ValueError:
-                raise TableFormatError(f"{path}:{line_no}: weight {raw_w!r} is not an integer") from None
-            if w <= 0:
-                raise TableFormatError(f"{path}:{line_no}: weight must be positive, got {w}")
-            if w > INT64_MAX:
-                raise TableFormatError(f"{path}:{line_no}: weight {w} is beyond the int64 range")
-            if not src or not dst:
-                raise TableFormatError(f"{path}:{line_no}: empty institution id")
-            edges.append((src, dst, w))
+    for line_no, (src, dst, raw_w) in rows:
+        try:
+            w = int(raw_w)
+        except ValueError:
+            raise TableFormatError(f"{path}:{line_no}: weight {raw_w!r} is not an integer") from None
+        if w <= 0:
+            raise TableFormatError(f"{path}:{line_no}: weight must be positive, got {w}")
+        if w > INT64_MAX:
+            raise TableFormatError(f"{path}:{line_no}: weight {w} is beyond the int64 range")
+        if not src or not dst:
+            raise TableFormatError(f"{path}:{line_no}: empty institution id")
+        edges.append((src, dst, w))
     return edges
 
 
@@ -91,53 +109,29 @@ def write_edge_list(net: CitationNetwork, path) -> None:
     rows = zip(
         ids[net.source[order]].tolist(), ids[net.target[order]].tolist(), net.weight[order].tolist()
     )
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        out.writerow(["source", "target", "weight"])
-        out.writerows(rows)
+    write_csv(path, ["source", "target", "weight"], rows)
 
 
-def write_nodes_csv(net: CitationNetwork, path, in_degree=None, centrality=None) -> None:
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        header = ["institution"]
-        if in_degree is not None:
-            header.append("in_degree")
-        if centrality is not None:
-            header.append("degree_centrality")
-        out.writerow(header)
-        for idx in sorted(range(net.n_nodes), key=lambda k: net.node_ids[k]):
-            row: list = [net.node_ids[idx]]
-            if in_degree is not None:
-                row.append(int(in_degree[idx]))
-            if centrality is not None:
-                row.append(fmt(centrality[idx]))
-            out.writerow(row)
+def write_nodes_csv(net: CitationNetwork, path, in_degree, centrality) -> None:
+    """`institution,in_degree,degree_centrality` rows sorted by institution id."""
+    order = sorted(range(net.n_nodes), key=net.node_ids.__getitem__)
+    rows = ([net.node_ids[k], int(in_degree[k]), fmt(centrality[k])] for k in order)
+    write_csv(path, ["institution", "in_degree", "degree_centrality"], rows)
 
 
 def write_distribution_csv(pairs: Sequence[tuple[float, float]], path) -> None:
     """Write (value, probability) pairs as a `value,probability` CSV."""
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        out.writerow(["value", "probability"])
-        for value, prob in pairs:
-            out.writerow([fmt(value), fmt(prob)])
+    write_csv(path, ["value", "probability"], ([fmt(v), fmt(p)] for v, p in pairs))
 
 
-def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized=None) -> None:
+def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None:
     """Ranked scores, descending; ties broken lexicographically by id."""
     order = sorted(range(len(node_ids)), key=lambda k: (-scores[k], node_ids[k]))
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        header = ["rank", "institution", "pagerank_score"]
-        if normalized is not None:
-            header.append("normalized_score")
-        out.writerow(header)
-        for rank, idx in enumerate(order, start=1):
-            row: list = [rank, node_ids[idx], fmt(scores[idx])]
-            if normalized is not None:
-                row.append(fmt(normalized[idx]))
-            out.writerow(row)
+    rows = (
+        [rank, node_ids[k], fmt(scores[k]), fmt(normalized[k])]
+        for rank, k in enumerate(order, start=1)
+    )
+    write_csv(path, ["rank", "institution", "pagerank_score", "normalized_score"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -146,40 +140,29 @@ def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized=None) ->
 
 
 def read_score_table(path, subject: str = "") -> ScoreTable:
-    """Read an `institution,<column>...` CSV; every cell must be present."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0].strip() != "institution" or len(header) < 2:
-            raise TableFormatError(f"{path}: expected header 'institution,<column>,...'")
-        names = [h.strip() for h in header[1:]]
-        if len(set(names)) != len(names):
-            raise TableFormatError(f"{path}: duplicate column names")
-        institutions: list[str] = []
-        values: list[list[float]] = [[] for _ in names]
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    """Read an `institution,<column>,...` CSV; every cell must be present."""
+    rows = _read_rows(path)
+    header = next(rows)
+    if len(header) < 2 or header[0] != "institution":
+        raise TableFormatError(f"{path}: expected header 'institution,<column>,...'")
+    names = header[1:]
+    if len(set(names)) != len(names):
+        raise TableFormatError(f"{path}: duplicate column names")
+    institutions: list[str] = []
+    values: list[list[float]] = [[] for _ in names]
+    for line_no, (inst, *cells) in rows:
+        if not inst:
+            raise TableFormatError(f"{path}:{line_no}: empty institution id")
+        institutions.append(inst)
+        for name, column, cell in zip(names, values, cells):
+            if not cell:
+                raise TableFormatError(f"{path}:{line_no}: missing value in column {name!r}")
+            try:
+                column.append(float(cell))
+            except ValueError:
                 raise TableFormatError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            inst = row[0].strip()
-            if not inst:
-                raise TableFormatError(f"{path}:{line_no}: empty institution id")
-            institutions.append(inst)
-            for k, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    raise TableFormatError(
-                        f"{path}:{line_no}: missing value in column {names[k]!r}"
-                    )
-                try:
-                    values[k].append(float(cell))
-                except ValueError:
-                    raise TableFormatError(
-                        f"{path}:{line_no}: bad number {cell!r} in column {names[k]!r}"
-                    ) from None
+                    f"{path}:{line_no}: bad number {cell!r} in column {name!r}"
+                ) from None
     try:
         return ScoreTable(
             subject=subject,
@@ -191,12 +174,12 @@ def read_score_table(path, subject: str = "") -> ScoreTable:
 
 
 def write_score_table(table: ScoreTable, path) -> None:
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        names = list(table.column_names)
-        out.writerow(["institution"] + names)
-        for idx, inst in enumerate(table.institutions):
-            out.writerow([inst] + [fmt(table.columns[name][idx]) for name in names])
+    names = list(table.column_names)
+    rows = (
+        [inst] + [fmt(table.columns[name][idx]) for name in names]
+        for idx, inst in enumerate(table.institutions)
+    )
+    write_csv(path, ["institution"] + names, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,47 +189,37 @@ def write_score_table(table: ScoreTable, path) -> None:
 
 def read_correlation_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a labeled square matrix: header `variable,<v1>,...`, one row per variable."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0].strip() != "variable" or len(header) < 2:
-            raise TableFormatError(f"{path}: expected header 'variable,<name>,...'")
-        names = tuple(h.strip() for h in header[1:])
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TableFormatError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            labels.append(row[0].strip())
-            try:
-                rows.append([float(cell) for cell in row[1:]])
-            except ValueError:
-                raise TableFormatError(f"{path}:{line_no}: non-numeric matrix entry") from None
+    rows = _read_rows(path)
+    header = next(rows)
+    if len(header) < 2 or header[0] != "variable":
+        raise TableFormatError(f"{path}: expected header 'variable,<name>,...'")
+    names = tuple(header[1:])
+    matrix: list[list[float]] = []
+    labels: list[str] = []
+    for line_no, (label, *cells) in rows:
+        labels.append(label)
+        try:
+            matrix.append([float(cell) for cell in cells])
+        except ValueError:
+            raise TableFormatError(f"{path}:{line_no}: non-numeric matrix entry") from None
     if tuple(labels) != names:
         raise TableFormatError(f"{path}: row labels must match column order {names}")
-    return np.array(rows), names
+    return np.array(matrix), names
+
+
+def _labeled_matrix_csv(path, header: list[str], labels: Sequence[str], matrix) -> None:
+    rows = ([name] + [fmt(x) for x in row] for name, row in zip(labels, matrix, strict=True))
+    write_csv(path, header, rows)
 
 
 def write_correlation_csv(matrix: np.ndarray, names: Sequence[str], path) -> None:
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        out.writerow(["variable"] + list(names))
-        for idx, name in enumerate(names):
-            out.writerow([name] + [fmt(x) for x in matrix[idx]])
+    _labeled_matrix_csv(path, ["variable"] + list(names), names, matrix)
 
 
 def write_loadings_csv(variables: Sequence[str], loadings: np.ndarray, path) -> None:
     """`variable,component1,...` CSV of a loadings matrix."""
-    n_comp = loadings.shape[1]
-    with _writer(path) as handle:
-        out = csv.writer(handle)
-        out.writerow(["variable"] + [f"component{k + 1}" for k in range(n_comp)])
-        for idx, name in enumerate(variables):
-            out.writerow([name] + [fmt(x) for x in loadings[idx]])
+    header = ["variable"] + [f"component{k + 1}" for k in range(loadings.shape[1])]
+    _labeled_matrix_csv(path, header, variables, loadings)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ citing institutions, not citation volume.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -24,7 +23,6 @@ __all__ = [
     "DegreeReport",
     "in_degree",
     "degree_centrality",
-    "degree_distribution",
     "centrality_distribution",
     "degree_report",
     "network_summary",
@@ -270,7 +268,7 @@ class DegreeReport:
 
     in_degree: np.ndarray
     degree_centrality: np.ndarray
-    centrality_distribution: list[tuple[float, float]] = field(default_factory=list)
+    centrality_distribution: list[tuple[float, float]]
 
 
 def in_degree(net: CitationNetwork) -> np.ndarray:
@@ -282,50 +280,31 @@ def in_degree(net: CitationNetwork) -> np.ndarray:
     return np.bincount(net.target[net.source != net.target], minlength=net.n_nodes)
 
 
-def degree_centrality(net: CitationNetwork) -> np.ndarray:
-    """In-degree divided by N - 1: the fraction of peers citing each node."""
-    return _degree_centrality(in_degree(net))
+def degree_report(net: CitationNetwork) -> DegreeReport:
+    """In-degree, degree centrality and the centrality distribution of a network.
 
-
-def _degree_centrality(k: np.ndarray) -> np.ndarray:
+    Degree centrality is in-degree divided by N - 1: the fraction of peers
+    citing each node. The distribution lists each distinct centrality value
+    once, ascending, with its multiplicity divided by N; no binning is
+    applied, so consumers that want histograms can bin the pairs themselves.
+    """
+    k = in_degree(net)
     n = k.size
     if n < 2:
         raise DegenerateNetworkError(f"degree centrality needs at least 2 nodes, got {n}")
-    return k / (n - 1)
+    values, counts = np.unique(k, return_counts=True)
+    distribution = [(v / (n - 1), c / n) for v, c in zip(values.tolist(), counts.tolist())]
+    return DegreeReport(k, k / (n - 1), distribution)
 
 
-def degree_distribution(net: CitationNetwork) -> list[tuple[int, float]]:
-    """Empirical distribution of in-degree values, sorted ascending."""
-    n = net.n_nodes
-    counts = Counter(in_degree(net).tolist())
-    return [(k, counts[k] / n) for k in sorted(counts)]
+def degree_centrality(net: CitationNetwork) -> np.ndarray:
+    """In-degree divided by N - 1 (see degree_report)."""
+    return degree_report(net).degree_centrality
 
 
 def centrality_distribution(net: CitationNetwork) -> list[tuple[float, float]]:
-    """Empirical distribution of degree-centrality values, sorted ascending.
-
-    No binning is applied: each distinct centrality value appears once with
-    its multiplicity divided by N. Consumers that want histograms can bin
-    the emitted (value, probability) pairs themselves.
-    """
-    return _centrality_distribution(in_degree(net))
-
-
-def _centrality_distribution(k: np.ndarray) -> list[tuple[float, float]]:
-    n = k.size
-    if n < 2:
-        raise DegenerateNetworkError(f"centrality distribution needs at least 2 nodes, got {n}")
-    values, counts = np.unique(k, return_counts=True)
-    return [(v / (n - 1), c / n) for v, c in zip(values.tolist(), counts.tolist())]
-
-
-def degree_report(net: CitationNetwork) -> DegreeReport:
-    k = in_degree(net)
-    return DegreeReport(
-        in_degree=k,
-        degree_centrality=_degree_centrality(k),
-        centrality_distribution=_centrality_distribution(k),
-    )
+    """Empirical distribution of degree-centrality values (see degree_report)."""
+    return degree_report(net).centrality_distribution
 
 
 def network_summary(net: CitationNetwork) -> NetworkSummary:

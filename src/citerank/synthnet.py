@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericError
 from .network import CitationNetwork
 
-__all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate", "generate_traced"]
+__all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate_traced"]
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,3 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
 
     net = CitationNetwork.build(ids, sources, targets, weights, subject=f"synthetic-{cfg.seed}")
     return SynthResult(network=net, cartel_members=members)
-
-
-def generate(cfg: SynthConfig) -> CitationNetwork:
-    """Generate a synthetic citation network (see generate_traced)."""
-    return generate_traced(cfg).network

@@ -27,7 +27,6 @@ from citerank import (
     composite_score,
     default_profiles,
     filter_records,
-    generate,
     generate_traced,
     kendall_w,
     normalize_pagerank,
@@ -336,7 +335,7 @@ def test_criterion_7_cartel_discounting():
             seed=seed,
             cartel=CartelSpec(member_count=5, internal_weight_boost=20),
         )
-        base = generate(base_cfg)
+        base = generate_traced(base_cfg).network
         traced = generate_traced(cartel_cfg)
         boosted = traced.network
 

@@ -488,6 +488,32 @@ def test_full_pipeline_byte_determinism(tmp_path):
             assert one[rel] == two[rel], rel
 
 
+def test_every_csv_written_parses_to_rows_of_header_width(tmp_path):
+    # a column named "x,y" must stay one field in every table that names it
+    records = tmp_path / "records.jsonl"
+    records.write_text(RECORDS.read_text() + "not json\n")
+    table = tmp_path / "table.csv"
+    values = np.random.default_rng(5).random((10, 3))
+    rows = [f"inst-{k}," + ",".join(f"{v:.6f}" for v in row) for k, row in enumerate(values)]
+    table.write_text('institution,x,y,"x,y"\n' + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    for argv in (
+        ["build", str(records), "--subject", "TEL", "--threshold", "3", "--out", str(out / "net")],
+        ["pagerank", str(out / "net" / "edges.csv"), "--out", str(out / "pr")],
+        ["compare", str(table), "--col-a", "x", "--col-b", "y", "--control", "x,y",
+         "--out", str(out / "cmp")],
+        ["pca", "--table", str(table), "--retain", "2", "--out", str(out / "pca")],
+    ):
+        assert main(argv) == 0
+    written = sorted(out.rglob("*.csv"))
+    assert (out / "net" / "parse_issues.csv") in written
+    for path in written:
+        header, *body = _read_csv(path)
+        assert all(len(row) == len(header) for row in body), path
+    statistics = [row[0] for row in _read_csv(out / "cmp" / "report.csv")[1:]]
+    assert "partial_r_given_x,y" in statistics
+
+
 def test_cli_import_loads_no_scipy():
     # scipy costs ~0.3 s per process; only p-values need it, imported on use
     src = str(Path(citerank.__file__).resolve().parents[1])

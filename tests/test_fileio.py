@@ -53,6 +53,13 @@ def test_edge_list_rejects_weight_beyond_int64(tmp_path):
         read_edge_list(path)
 
 
+def test_edge_list_errors_name_the_file_line(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text('source,target,weight\n"a\nb",c,1\n\nx,y,zero\n')
+    with pytest.raises(TableFormatError, match=r"edges\.csv:5: weight 'zero' is not an integer"):
+        read_edge_list(path)
+
+
 def test_from_edges_ignores_row_order(tmp_path):
     rng = random.Random(2000)
     ids = [f"inst-{k:04d}" for k in range(2000)]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from citerank import CartelSpec, SynthConfig, generate, generate_traced, in_degree
+from citerank import CartelSpec, SynthConfig, generate_traced, in_degree
 from citerank import synthnet
 from citerank.errors import NumericError
 
@@ -125,20 +125,20 @@ def _in_strength(net):
 
 def test_same_seed_reproduces_identical_network():
     cfg = SynthConfig(n_nodes=60, mean_out_citations=4.0, seed=123)
-    a = generate(cfg)
-    b = generate(cfg)
+    a = generate_traced(cfg).network
+    b = generate_traced(cfg).network
     assert a.node_ids == b.node_ids
     assert a.weights == b.weights
 
 
 def test_different_seeds_differ():
-    a = generate(SynthConfig(n_nodes=60, seed=1))
-    b = generate(SynthConfig(n_nodes=60, seed=2))
+    a = generate_traced(SynthConfig(n_nodes=60, seed=1)).network
+    b = generate_traced(SynthConfig(n_nodes=60, seed=2)).network
     assert a.weights != b.weights
 
 
 def test_generated_network_is_valid():
-    net = generate(SynthConfig(n_nodes=80, mean_out_citations=6.0, seed=9))
+    net = generate_traced(SynthConfig(n_nodes=80, mean_out_citations=6.0, seed=9)).network
     assert net.n_nodes == 80
     assert all(w >= 1 for w in net.weights.values())
     assert all(i != j for (i, j) in net.weights)  # no self-citations
@@ -148,7 +148,7 @@ def test_uniform_attachment_mean_in_strength_tracks_mean_out():
     received = []
     for seed in range(10):
         cfg = SynthConfig(n_nodes=100, mean_out_citations=6.0, attachment_exponent=0.0, seed=seed)
-        received.append(_in_strength(generate(cfg)).mean())
+        received.append(_in_strength(generate_traced(cfg).network).mean())
     assert abs(np.mean(received) - 6.0) < 0.5
 
 
@@ -157,10 +157,14 @@ def test_preferential_attachment_concentrates_citations():
     flat, strong = [], []
     for seed in range(8):
         flat.append(
-            in_degree(generate(SynthConfig(100, 5.0, attachment_exponent=0.0, seed=seed))).max()
+            in_degree(
+                generate_traced(SynthConfig(100, 5.0, attachment_exponent=0.0, seed=seed)).network
+            ).max()
         )
         strong.append(
-            in_degree(generate(SynthConfig(100, 5.0, attachment_exponent=2.0, seed=seed))).max()
+            in_degree(
+                generate_traced(SynthConfig(100, 5.0, attachment_exponent=2.0, seed=seed)).network
+            ).max()
         )
     assert np.mean(strong) > np.mean(flat)
 
@@ -168,7 +172,7 @@ def test_preferential_attachment_concentrates_citations():
 def test_cartel_members_are_least_cited_and_reported():
     cfg = SynthConfig(n_nodes=50, mean_out_citations=5.0, seed=4,
                       cartel=CartelSpec(member_count=5, internal_weight_boost=10))
-    base = generate(SynthConfig(n_nodes=50, mean_out_citations=5.0, seed=4))
+    base = generate_traced(SynthConfig(n_nodes=50, mean_out_citations=5.0, seed=4)).network
     traced = generate_traced(cfg)
     assert len(traced.cartel_members) == 5
     received = _in_strength(base)
@@ -181,7 +185,7 @@ def test_cartel_raises_internal_weight_share():
     plain_cfg = SynthConfig(n_nodes=100, mean_out_citations=5.0, seed=11)
     cartel_cfg = SynthConfig(n_nodes=100, mean_out_citations=5.0, seed=11,
                              cartel=CartelSpec(member_count=5, internal_weight_boost=20))
-    plain = generate(plain_cfg)
+    plain = generate_traced(plain_cfg).network
     traced = generate_traced(cartel_cfg)
     members = {traced.network.index_of(m) for m in traced.cartel_members}
 
@@ -193,7 +197,7 @@ def test_cartel_raises_internal_weight_share():
 
 
 def test_cartel_leaves_base_network_untouched():
-    plain = generate(SynthConfig(n_nodes=40, mean_out_citations=4.0, seed=21))
+    plain = generate_traced(SynthConfig(n_nodes=40, mean_out_citations=4.0, seed=21)).network
     traced = generate_traced(
         SynthConfig(n_nodes=40, mean_out_citations=4.0, seed=21,
                     cartel=CartelSpec(member_count=4, internal_weight_boost=7))
