@@ -3,16 +3,7 @@ ranking-comparison statistics."""
 
 __version__ = "0.1.0"
 
-from .network import (
-    CitationNetwork,
-    DegreeReport,
-    NetworkSummary,
-    centrality_distribution,
-    degree_centrality,
-    degree_report,
-    in_degree,
-    network_summary,
-)
+from .network import CitationNetwork, DegreeReport, degree_report, in_degree
 from .pagerank import (
     DanglingPolicy,
     PageRankConfig,
@@ -53,12 +44,8 @@ __all__ = [
     "__version__",
     "CitationNetwork",
     "DegreeReport",
-    "NetworkSummary",
-    "centrality_distribution",
-    "degree_centrality",
     "degree_report",
     "in_degree",
-    "network_summary",
     "DanglingPolicy",
     "PageRankConfig",
     "PageRankResult",

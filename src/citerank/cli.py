@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, fileio, ingest, network, rankstats, scoring, synthnet
 from .errors import CiteRankError, EmptyNetworkError, InputError, MissingColumnError
 from .pagerank import DanglingPolicy, PageRankConfig, pagerank
@@ -143,7 +141,6 @@ def _cmd_build(args) -> int:
         return 1
     net = ingest.build_network(records, retained, profile, keep_self_loops=args.self_loops)
 
-    summary = network.network_summary(net)
     report = network.degree_report(net)
     fileio.write_edge_list(net, out / "edges.csv")
     fileio.write_nodes_csv(net, out / "nodes.csv", report.in_degree, report.degree_centrality)
@@ -151,10 +148,10 @@ def _cmd_build(args) -> int:
     fileio.write_json(
         {
             "subject": net.subject,
-            "nodes": summary.nodes,
-            "citations": summary.citations,
-            "edges": summary.edges,
-            "self_loops_included": summary.self_loops_included,
+            "nodes": net.n_nodes,
+            "citations": net.total_weight,
+            "edges": net.n_edges,
+            "self_loops_included": net.self_loops_included,
             "records_used": len(records),
             "records_parsed": len(parsed.records),
         },
@@ -163,7 +160,7 @@ def _cmd_build(args) -> int:
     fileio.write_csv(
         out / "summary.csv",
         ["nodes", "citations", "edges", "self_loops_included"],
-        [[summary.nodes, summary.citations, summary.edges, str(summary.self_loops_included).lower()]],
+        [[net.n_nodes, net.total_weight, net.n_edges, str(net.self_loops_included).lower()]],
         lineterminator="\n",
     )
     manifest.outputs += [
@@ -171,8 +168,8 @@ def _cmd_build(args) -> int:
     ]
     manifest.write(out)
     print(
-        f"built {net.subject} network: {summary.nodes} institutions, "
-        f"{summary.edges} edges, {summary.citations} citations"
+        f"built {net.subject} network: {net.n_nodes} institutions, "
+        f"{net.n_edges} edges, {net.total_weight} citations"
     )
     return 0
 
@@ -316,23 +313,20 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        cartel = None
-        if args.cartel_boost is not None and args.cartel_size is None:
-            raise InputError("--cartel-boost requires --cartel-size")
-        if args.cartel_size is not None:
-            if args.cartel_boost is None:
-                raise InputError("--cartel-size requires --cartel-boost")
-            cartel = synthnet.CartelSpec(args.cartel_size, args.cartel_boost)
-        cfg = synthnet.SynthConfig(
-            n_nodes=args.nodes,
-            mean_out_citations=args.mean_out,
-            attachment_exponent=args.exponent,
-            cartel=cartel,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cartel = None
+    if args.cartel_boost is not None and args.cartel_size is None:
+        raise InputError("--cartel-boost requires --cartel-size")
+    if args.cartel_size is not None:
+        if args.cartel_boost is None:
+            raise InputError("--cartel-size requires --cartel-boost")
+        cartel = synthnet.CartelSpec(args.cartel_size, args.cartel_boost)
+    cfg = synthnet.SynthConfig(
+        n_nodes=args.nodes,
+        mean_out_citations=args.mean_out,
+        attachment_exponent=args.exponent,
+        cartel=cartel,
+        seed=args.seed,
+    )
     traced = synthnet.generate_traced(cfg)
     out = _prepare_out(args.out)
     fileio.write_edge_list(traced.network, out / "edges.csv")
@@ -350,11 +344,8 @@ def _cmd_synth(args) -> int:
         outputs=["edges.csv"],
     )
     manifest.write(out)
-    summary = network.network_summary(traced.network)
-    print(
-        f"generated network: {summary.nodes} nodes, {summary.edges} edges, "
-        f"{summary.citations} citations"
-    )
+    net = traced.network
+    print(f"generated network: {net.n_nodes} nodes, {net.n_edges} edges, {net.total_weight} citations")
     return 0
 
 
@@ -439,7 +430,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CiteRankError, OSError, ValueError) as exc:
+    except (CiteRankError, OSError, UnicodeDecodeError) as exc:
+        # an input file that is not UTF-8 is a user error; any other ValueError is a bug
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # pragma: no cover - defensive

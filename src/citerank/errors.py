@@ -9,8 +9,12 @@ class CiteRankError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InputError(CiteRankError):
-    """A caller-supplied argument violates an operation's contract."""
+class InputError(CiteRankError, ValueError):
+    """A caller-supplied argument violates an operation's contract.
+
+    Also a ValueError, so callers that catch ValueError for a bad argument
+    keep working.
+    """
 
 
 class ParseError(CiteRankError):

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import TableFormatError
+from .errors import InputError, TableFormatError
 from .network import INT64_MAX, CitationNetwork
 from .scoring import ScoreTable
 
@@ -28,7 +29,6 @@ __all__ = [
     "write_distribution_csv",
     "write_ranking_csv",
     "read_score_table",
-    "write_score_table",
     "read_correlation_csv",
     "write_correlation_csv",
     "write_loadings_csv",
@@ -51,7 +51,13 @@ def bundled_data(name: str) -> Path:
 def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="\r\n") -> None:
     """Write a header and rows as UTF-8 CSV, quoting fields per RFC 4180 where needed."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        out = csv.writer(handle, lineterminator=lineterminator)
+        sink = handle
+        if lineterminator != "\r\n":
+            # csv quotes only the characters of its own terminator, so a field
+            # holding a bare \r would end the row early: end rows with \r\n,
+            # which quotes both, and swap the ending on the way out
+            sink = SimpleNamespace(write=lambda row: handle.write(row[:-2] + lineterminator))
+        out = csv.writer(sink)
         out.writerow(header)
         out.writerows(rows)
 
@@ -104,7 +110,10 @@ def read_edge_list(path) -> list[tuple[str, str, int]]:
 
 def write_edge_list(net: CitationNetwork, path) -> None:
     """`source,target,weight` rows sorted by (source id, target id)."""
-    order = net.id_order()
+    n = net.n_nodes
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=net.node_ids.__getitem__)] = np.arange(n)
+    order = np.argsort(rank[net.source] * n + rank[net.target])  # keys are distinct
     ids = np.array(net.node_ids, dtype=object)
     rows = zip(
         ids[net.source[order]].tolist(), ids[net.target[order]].tolist(), net.weight[order].tolist()
@@ -139,7 +148,7 @@ def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None
 # ---------------------------------------------------------------------------
 
 
-def read_score_table(path, subject: str = "") -> ScoreTable:
+def read_score_table(path) -> ScoreTable:
     """Read an `institution,<column>,...` CSV; every cell must be present."""
     rows = _read_rows(path)
     header = next(rows)
@@ -164,22 +173,9 @@ def read_score_table(path, subject: str = "") -> ScoreTable:
                     f"{path}:{line_no}: bad number {cell!r} in column {name!r}"
                 ) from None
     try:
-        return ScoreTable(
-            subject=subject,
-            institutions=tuple(institutions),
-            columns={name: np.array(col) for name, col in zip(names, values)},
-        )
-    except ValueError as exc:
+        return ScoreTable(tuple(institutions), dict(zip(names, values)))
+    except InputError as exc:
         raise TableFormatError(f"{path}: {exc}") from exc
-
-
-def write_score_table(table: ScoreTable, path) -> None:
-    names = list(table.column_names)
-    rows = (
-        [inst] + [fmt(table.columns[name][idx]) for name in names]
-        for idx, inst in enumerate(table.institutions)
-    )
-    write_csv(path, ["institution"] + names, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -89,17 +89,17 @@ class SubjectProfile:
         weights = dict(self.indicator_weights)
         unknown = set(weights) - set(INDICATORS)
         if unknown:
-            raise ValueError(f"unknown indicators in profile {self.name!r}: {sorted(unknown)}")
+            raise InputError(f"unknown indicators in profile {self.name!r}: {sorted(unknown)}")
         for key in INDICATORS:
             weights.setdefault(key, 0)
         if any(w < 0 for w in weights.values()):
-            raise ValueError(f"indicator weights must be non-negative in profile {self.name!r}")
+            raise InputError(f"indicator weights must be non-negative in profile {self.name!r}")
         if not any(w > 0 for w in weights.values()):
-            raise ValueError(f"profile {self.name!r} needs at least one positive weight")
+            raise InputError(f"profile {self.name!r} needs at least one positive weight")
         if self.publication_threshold < 1:
-            raise ValueError(f"publication threshold must be >= 1 in profile {self.name!r}")
+            raise InputError(f"publication threshold must be >= 1 in profile {self.name!r}")
         if self.year_range[0] > self.year_range[1]:
-            raise ValueError(f"year range is reversed in profile {self.name!r}")
+            raise InputError(f"year range is reversed in profile {self.name!r}")
         object.__setattr__(self, "indicator_weights", weights)
 
 

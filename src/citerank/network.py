@@ -8,44 +8,33 @@ citing institutions, not citation volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateNetworkError
+from .errors import DegenerateNetworkError, InputError
 
-__all__ = [
-    "CitationNetwork",
-    "NetworkSummary",
-    "DegreeReport",
-    "in_degree",
-    "degree_centrality",
-    "centrality_distribution",
-    "degree_report",
-    "network_summary",
-]
+__all__ = ["CitationNetwork", "DegreeReport", "in_degree", "degree_report"]
 
 INT64_MAX = 2**63 - 1
 
 
 def _int64(values, what: str) -> np.ndarray:
-    """A new int64 array of values; ValueError unless each is an int64 integer."""
+    """A new int64 array of values; InputError unless each is an int64 integer."""
     arr = np.asarray(values)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
     if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
+        raise InputError(f"{what} must be one-dimensional")
     integral = arr.dtype.kind in "iu" or (  # Python ints beyond uint64 make an object array
         arr.dtype.kind == "O"
         and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.tolist())
     )
     if not integral:
-        raise ValueError(f"{what} must be integers, got {arr.dtype}")
+        raise InputError(f"{what} must be integers, got {arr.dtype}")
     if arr.dtype.kind != "i" and (arr.min() < -INT64_MAX - 1 or arr.max() > INT64_MAX):
-        raise ValueError(f"{what} beyond the int64 range")
+        raise InputError(f"{what} beyond the int64 range")
     return arr.astype(np.int64)
 
 
@@ -56,7 +45,7 @@ def _edge_columns(source, target, weight) -> tuple[np.ndarray, np.ndarray, np.nd
         _int64(weight, "edge weights"),
     )
     if len({c.size for c in columns}) > 1:
-        raise ValueError("source, target and weight must have one length")
+        raise InputError("source, target and weight must have one length")
     return columns
 
 
@@ -66,28 +55,28 @@ def _first(mask: np.ndarray, *arrays: np.ndarray) -> list[int]:
 
 
 def _check_edges(n: int, source, target, weight, self_loops: bool) -> None:
-    """Raise ValueError for the first edge out of range, non-positive, or a stray self-loop."""
+    """Raise InputError for the first edge out of range, non-positive, or a stray self-loop."""
     bad = (source < 0) | (source >= n) | (target < 0) | (target >= n)
     if bad.any():
         i, j = _first(bad, source, target)
-        raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+        raise InputError(f"edge ({i}, {j}) out of range for {n} nodes")
     bad = weight <= 0
     if bad.any():
         i, j, w = _first(bad, source, target, weight)
-        raise ValueError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
+        raise InputError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
     if not self_loops:
         bad = source == target
         if bad.any():
             (i,) = _first(bad, source)
-            raise ValueError(f"self-loop at node {i} but self_loops_included is False")
+            raise InputError(f"self-loop at node {i} but self_loops_included is False")
 
 
 def _check_total(weight: np.ndarray) -> None:
-    """Raise ValueError when the positive weights sum past the int64 range."""
+    """Raise InputError when the positive weights sum past the int64 range."""
     if weight.size and int(weight.max()) > INT64_MAX // weight.size:
         total = sum(weight.tolist())
         if total > INT64_MAX:
-            raise ValueError(f"total weight {total} is beyond the int64 range")
+            raise InputError(f"total weight {total} is beyond the int64 range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,25 +97,22 @@ class CitationNetwork:
     weight: np.ndarray
     subject: str = ""
     self_loops_included: bool = False
-    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = tuple(self.node_ids)
         n = len(ids)
-        index = dict(zip(ids, range(n)))
-        if len(index) != n:
-            raise ValueError("node identifiers must be unique")
+        if len(set(ids)) != n:
+            raise InputError("node identifiers must be unique")
         source, target, weight = _edge_columns(self.source, self.target, self.weight)
         _check_edges(n, source, target, weight, self.self_loops_included)
         keys = source * n + target
         if np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("edges must be distinct and sorted by (source, target)")
+            raise InputError("edges must be distinct and sorted by (source, target)")
         _check_total(weight)
         for name, arr in (("source", source), ("target", target), ("weight", weight)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "node_ids", ids)
-        object.__setattr__(self, "_index", index)
 
     @classmethod
     def build(
@@ -160,7 +146,7 @@ class CitationNetwork:
             over = np.flatnonzero(exact > INT64_MAX)
             if over.size:
                 i, j = divmod(int(keys[starts[over[0]]]), n)
-                raise ValueError(
+                raise InputError(
                     f"edge ({i}, {j}) from {ids[i]!r} to {ids[j]!r} has total weight "
                     f"{exact[over[0]]}, beyond the int64 range"
                 )
@@ -217,50 +203,6 @@ class CitationNetwork:
     def total_weight(self) -> int:
         return int(self.weight.sum())
 
-    @cached_property
-    def weights(self) -> Mapping[tuple[int, int], int]:
-        """Read-only mapping (source index, target index) -> weight."""
-        pairs = zip(self.source.tolist(), self.target.tolist())
-        return MappingProxyType(dict(zip(pairs, self.weight.tolist())))
-
-    def index_of(self, node_id: str) -> int:
-        try:
-            return self._index[node_id]
-        except KeyError:
-            raise ValueError(f"{node_id!r} is not a node of this network") from None
-
-    def has_edge(self, i: int, j: int) -> bool:
-        lo, hi = np.searchsorted(self.source, (i, i + 1))
-        return bool(np.any(self.target[lo:hi] == j))
-
-    def id_order(self) -> np.ndarray:
-        """Permutation of the edge arrays that sorts edges by (source id, target id)."""
-        n = self.n_nodes
-        rank = np.empty(n, dtype=np.int64)
-        rank[sorted(range(n), key=self.node_ids.__getitem__)] = np.arange(n)
-        return np.argsort(rank[self.source] * n + rank[self.target])  # keys are distinct
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (source, target, weight), sorted by node id for determinism."""
-        order = self.id_order()
-        return zip(
-            self.source[order].tolist(), self.target[order].tolist(), self.weight[order].tolist()
-        )
-
-    def to_dense(self) -> np.ndarray:
-        """Dense weight matrix; intended for small networks and test oracles."""
-        mat = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
-        mat[self.source, self.target] = self.weight
-        return mat
-
-
-@dataclass(frozen=True)
-class NetworkSummary:
-    nodes: int
-    citations: int
-    edges: int
-    self_loops_included: bool = False
-
 
 @dataclass(frozen=True)
 class DegreeReport:
@@ -295,23 +237,3 @@ def degree_report(net: CitationNetwork) -> DegreeReport:
     values, counts = np.unique(k, return_counts=True)
     distribution = [(v / (n - 1), c / n) for v, c in zip(values.tolist(), counts.tolist())]
     return DegreeReport(k, k / (n - 1), distribution)
-
-
-def degree_centrality(net: CitationNetwork) -> np.ndarray:
-    """In-degree divided by N - 1 (see degree_report)."""
-    return degree_report(net).degree_centrality
-
-
-def centrality_distribution(net: CitationNetwork) -> list[tuple[float, float]]:
-    """Empirical distribution of degree-centrality values (see degree_report)."""
-    return degree_report(net).centrality_distribution
-
-
-def network_summary(net: CitationNetwork) -> NetworkSummary:
-    """Counts for reporting: unique institutions, total citations, edges."""
-    return NetworkSummary(
-        nodes=net.n_nodes,
-        citations=net.total_weight,
-        edges=net.n_edges,
-        self_loops_included=net.self_loops_included,
-    )

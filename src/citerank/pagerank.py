@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetworkError, NumericError
+from .errors import EmptyNetworkError, InputError, NumericError
 from .network import CitationNetwork
 
 __all__ = [
@@ -54,11 +54,11 @@ class PageRankConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dangling_policy", DanglingPolicy(self.dangling_policy))
         if not 0.0 <= self.damping < 1.0:
-            raise ValueError(f"damping must be in [0, 1), got {self.damping}")
+            raise InputError(f"damping must be in [0, 1), got {self.damping}")
         if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+            raise InputError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

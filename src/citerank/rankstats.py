@@ -59,15 +59,14 @@ def average_rank(values, descending: bool = False) -> np.ndarray:
         raise InputError("average_rank expects a 1-D vector")
     key = -v if descending else v
     order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    starts = np.ones(v.size, dtype=bool)  # each NaN starts its own run: NaN != NaN
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], v.size) - 1
+    # positions first..last (0-based) of a run of ties share the average rank
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and key[order[j + 1]] == key[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average rank
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = ((first + last) / 2.0 + 1.0)[np.cumsum(starts) - 1]
     return ranks
 
 
@@ -336,20 +335,24 @@ def _fix_column_signs(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def varimax(loadings: np.ndarray, tol: float = 1e-10, max_sweeps: int = 1000,
-            kaiser: bool = True) -> np.ndarray:
+_VARIMAX_TOL = 1e-10
+_VARIMAX_MAX_SWEEPS = 1000
+
+
+def varimax(loadings: np.ndarray) -> np.ndarray:
     """Varimax rotation by iterative pairwise planar rotations.
 
     Rows are Kaiser-normalized (divided by their communality) before
     rotating and restored afterwards; sweeps over all column pairs repeat
-    until the varimax criterion improves by less than tol.
+    until one raises the varimax criterion by at most _VARIMAX_TOL of its
+    magnitude (at least 1), or for at most _VARIMAX_MAX_SWEEPS sweeps.
     """
     l_mat = np.asarray(loadings, dtype=np.float64)
     p, k = l_mat.shape
     if k < 2:
         return l_mat.copy()
     h = np.sqrt((l_mat**2).sum(axis=1))
-    scale = np.where(h > 0, h, 1.0) if kaiser else np.ones(p)
+    scale = np.where(h > 0, h, 1.0)
     a = l_mat / scale[:, None]
 
     def criterion(m: np.ndarray) -> float:
@@ -357,7 +360,7 @@ def varimax(loadings: np.ndarray, tol: float = 1e-10, max_sweeps: int = 1000,
         return float(np.sum(sq**2) - np.sum(sq.sum(axis=0) ** 2) / p)
 
     value = criterion(a)
-    for _ in range(max_sweeps):
+    for _ in range(_VARIMAX_MAX_SWEEPS):
         for j in range(k - 1):
             for l in range(j + 1, k):
                 x = a[:, j].copy()
@@ -374,7 +377,7 @@ def varimax(loadings: np.ndarray, tol: float = 1e-10, max_sweeps: int = 1000,
                     a[:, j] = c * x + s * y
                     a[:, l] = -s * x + c * y
         new_value = criterion(a)
-        if new_value - value <= tol * max(1.0, abs(value)):
+        if new_value - value <= _VARIMAX_TOL * max(1.0, abs(value)):
             break
         value = new_value
     rotated = a * scale[:, None]

@@ -11,56 +11,48 @@ of the raw inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .errors import MissingColumnError, ScoringError
+from .errors import InputError, MissingColumnError, ScoringError
 from .ingest import SubjectProfile
 from .pagerank import PageRankResult
 
 __all__ = ["ScoreTable", "compress", "composite_score", "normalize_pagerank"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreTable:
-    """Named per-institution score columns for one subject.
+    """Named per-institution score columns.
 
     Columns may hold raw indicators (PUB, CNCI, IC, TOP, AWD, CIT, hindex),
     compressed indicator scores, or computed composites; all columns share
-    the institutions' length and are non-negative.
+    the institutions' length and are non-negative. The table is immutable:
+    `columns` is a read-only mapping of read-only float64 copies.
     """
 
-    subject: str
     institutions: tuple[str, ...]
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.institutions = tuple(self.institutions)
-        if len(set(self.institutions)) != len(self.institutions):
-            raise ValueError("institution ids must be unique")
-        self.columns = {name: self._validated(name, col) for name, col in self.columns.items()}
-
-    def _validated(self, name: str, col) -> np.ndarray:
-        arr = np.asarray(col, dtype=np.float64)
-        if arr.shape != (len(self.institutions),):
-            raise ValueError(
-                f"column {name!r} has length {arr.shape}, expected {len(self.institutions)}"
-            )
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError(f"column {name!r} must be finite and non-negative")
-        return arr
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise MissingColumnError(f"score table has no column {name!r}") from None
-
-    def with_column(self, name: str, values) -> "ScoreTable":
-        cols = dict(self.columns)
-        cols[name] = values
-        return ScoreTable(self.subject, self.institutions, cols)
+        institutions = tuple(self.institutions)
+        if len(set(institutions)) != len(institutions):
+            raise InputError("institution ids must be unique")
+        columns = {}
+        for name, col in self.columns.items():
+            arr = np.array(col, dtype=np.float64)
+            if arr.shape != (len(institutions),):
+                raise InputError(
+                    f"column {name!r} has length {arr.shape}, expected {len(institutions)}"
+                )
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise InputError(f"column {name!r} must be finite and non-negative")
+            arr.setflags(write=False)
+            columns[name] = arr
+        object.__setattr__(self, "institutions", institutions)
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     @property
     def column_names(self) -> tuple[str, ...]:

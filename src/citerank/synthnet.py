@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InputError, NumericError
 from .network import CitationNetwork
 
 __all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate_traced"]
@@ -29,9 +29,9 @@ class CartelSpec:
 
     def __post_init__(self) -> None:
         if self.member_count < 2:
-            raise ValueError("a cartel needs at least 2 members")
+            raise InputError("a cartel needs at least 2 members")
         if self.internal_weight_boost < 1:
-            raise ValueError("internal_weight_boost must be >= 1")
+            raise InputError("internal_weight_boost must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,19 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
-            raise ValueError("n_nodes must be positive")
+            raise InputError("n_nodes must be positive")
         if not math.isfinite(self.mean_out_citations):
-            raise ValueError("mean_out_citations must be finite")
+            raise InputError("mean_out_citations must be finite")
         if not self.mean_out_citations > 0:
-            raise ValueError("mean_out_citations must be positive")
+            raise InputError("mean_out_citations must be positive")
         if not math.isfinite(self.attachment_exponent):
-            raise ValueError("attachment_exponent must be finite")
+            raise InputError("attachment_exponent must be finite")
         if self.attachment_exponent < 0:
-            raise ValueError("attachment_exponent must be non-negative")
+            raise InputError("attachment_exponent must be non-negative")
         if self.cartel is not None and self.cartel.member_count >= self.n_nodes:
-            raise ValueError("cartel must be smaller than the network")
+            raise InputError("cartel must be smaller than the network")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

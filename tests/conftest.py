@@ -24,6 +24,19 @@ def build_from_dict(node_ids, weights, subject: str = "", keep_self_loops: bool 
     )
 
 
+def weight_dict(net: CitationNetwork) -> dict[tuple[int, int], int]:
+    """{(source index, target index): weight} in the network's (source, target) order."""
+    pairs = zip(net.source.tolist(), net.target.tolist())
+    return dict(zip(pairs, net.weight.tolist()))
+
+
+def dense(net: CitationNetwork) -> np.ndarray:
+    """Dense int64 weight matrix of a network; for small networks and oracles."""
+    mat = np.zeros((net.n_nodes, net.n_nodes), dtype=np.int64)
+    mat[net.source, net.target] = net.weight
+    return mat
+
+
 def pagerank_oracle(net: CitationNetwork, cfg: PageRankConfig | None = None) -> np.ndarray:
     """Dense direct solve of the PageRank fixed point; test reference only.
 
@@ -38,7 +51,7 @@ def pagerank_oracle(net: CitationNetwork, cfg: PageRankConfig | None = None) -> 
         raise EmptyNetworkError("cannot compute PageRank of an empty network")
     if n > ORACLE_MAX_NODES:
         raise OracleSizeError(f"dense oracle capped at {ORACLE_MAX_NODES} nodes, got {n}")
-    weights = net.to_dense().astype(np.float64)
+    weights = dense(net).astype(np.float64)
     out_sum = weights.sum(axis=1)
     trans = np.zeros((n, n))
     for i in range(n):

@@ -43,7 +43,7 @@ from citerank.ingest import SubjectProfile
 from citerank.rankstats import partial_from_pairwise
 from citerank.scoring import ScoreTable
 
-from conftest import build_from_dict, make_random_network, pagerank_oracle
+from conftest import build_from_dict, make_random_network, pagerank_oracle, weight_dict
 from test_rankstats import (
     displacement_oracle,
     kendall_w_oracle,
@@ -156,7 +156,7 @@ def test_criterion_3_pagerank_invariants():
         inverse[perm] = np.arange(net.n_nodes)
         permuted = build_from_dict(
             tuple(net.node_ids[k] for k in perm),
-            {(int(inverse[i]), int(inverse[j])): w for (i, j), w in net.weights.items()},
+            {(int(inverse[i]), int(inverse[j])): w for (i, j), w in weight_dict(net).items()},
         )
         ok &= float(np.max(np.abs(pagerank(permuted).scores[inverse] - base))) < 1e-12
     detail.append("20 relabelings")
@@ -238,7 +238,7 @@ def test_criterion_5_ingestion_fixture():
     retained = apply_threshold(filtered, profile)
     net = build_network(filtered, retained, profile)
 
-    edges = sorted([net.node_ids[i], net.node_ids[j], w] for (i, j), w in net.weights.items())
+    edges = sorted([net.node_ids[i], net.node_ids[j], w] for (i, j), w in weight_dict(net).items())
     ok = (
         len(records) == 20
         and sorted(retained) == manifest["retained"]
@@ -296,7 +296,7 @@ def test_criterion_6_scoring_invariants():
     identity_ok = True
     for profile in default_profiles().values():
         cols = {ind: np.full(4, 100.0) for ind, w in profile.indicator_weights.items() if w > 0}
-        table = ScoreTable(profile.name, ("a", "b", "c", "d"), cols)
+        table = ScoreTable(("a", "b", "c", "d"), cols)
         identity_ok &= bool(np.allclose(composite_score(table, profile), 100.0, atol=1e-12))
     ok &= identity_ok
 
@@ -318,7 +318,7 @@ def _ordinal_positions(net, scores):
 
 def _in_strength(net):
     received = np.zeros(net.n_nodes)
-    for (_i, j), w in net.weights.items():
+    for (_i, j), w in weight_dict(net).items():
         received[j] += w
     return received
 

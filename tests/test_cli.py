@@ -432,6 +432,7 @@ def test_pagerank_ranking_of_synth_network_is_pinned(tmp_path):
         (["--exponent", "400"], "overflow"),
         (["--cartel-size", "1", "--cartel-boost", "5"], "a cartel needs at least 2 members"),
         (["--cartel-boost", "5"], "--cartel-boost requires --cartel-size"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
     ],
 )
 def test_synth_bad_parameters_exit_one(tmp_path, capsys, flags, message):
@@ -462,6 +463,33 @@ def test_internal_error_exits_two(tmp_path, monkeypatch, capsys):
     assert "simulated bug" in capsys.readouterr().err
 
 
+def test_stray_value_error_exits_two(tmp_path, monkeypatch, capsys, score_table):
+    # a ValueError that no input check raised is a bug, not a user error
+    import citerank.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise ValueError("simulated stray ValueError")
+
+    monkeypatch.setattr(cli_mod.rankstats, "compare_columns", boom)
+    path, *_ = score_table
+    argv = ["compare", str(path), "--col-a", "arwu_score", "--col-b", "pagerank_score",
+            "--out", str(tmp_path / "cmp")]
+    assert main(argv) == 2
+    assert "simulated stray ValueError" in capsys.readouterr().err
+
+
+def test_non_utf8_inputs_exit_one(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_bytes(b"source,target,weight\nuniversit\xe9,b,1\n")
+    assert main(["pagerank", str(edges), "--out", str(tmp_path / "pr")]) == 1
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(RECORDS.read_bytes() + b'{"pub_id": "p\xe9"}\n')
+    argv = ["build", str(records), "--subject", "TEL", "--out", str(tmp_path / "net")]
+    assert main(argv) == 1
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
+
+
 def test_full_pipeline_byte_determinism(tmp_path):
     # stage inputs once so repeated runs see byte-identical input paths
     shared_net = tmp_path / "net0"
@@ -489,19 +517,19 @@ def test_full_pipeline_byte_determinism(tmp_path):
 
 
 def test_every_csv_written_parses_to_rows_of_header_width(tmp_path):
-    # a column named "x,y" must stay one field in every table that names it
+    # columns named "x,y" and "x\ry" must stay one field in every table that names them
     records = tmp_path / "records.jsonl"
     records.write_text(RECORDS.read_text() + "not json\n")
     table = tmp_path / "table.csv"
-    values = np.random.default_rng(5).random((10, 3))
+    values = np.random.default_rng(5).random((10, 4))
     rows = [f"inst-{k}," + ",".join(f"{v:.6f}" for v in row) for k, row in enumerate(values)]
-    table.write_text('institution,x,y,"x,y"\n' + "\n".join(rows) + "\n")
+    table.write_text('institution,x,y,"x,y","x\ry"\n' + "\n".join(rows) + "\n")
     out = tmp_path / "out"
     for argv in (
         ["build", str(records), "--subject", "TEL", "--threshold", "3", "--out", str(out / "net")],
         ["pagerank", str(out / "net" / "edges.csv"), "--out", str(out / "pr")],
         ["compare", str(table), "--col-a", "x", "--col-b", "y", "--control", "x,y",
-         "--out", str(out / "cmp")],
+         "--control", "x\ry", "--out", str(out / "cmp")],
         ["pca", "--table", str(table), "--retain", "2", "--out", str(out / "pca")],
     ):
         assert main(argv) == 0
@@ -512,6 +540,7 @@ def test_every_csv_written_parses_to_rows_of_header_width(tmp_path):
         assert all(len(row) == len(header) for row in body), path
     statistics = [row[0] for row in _read_csv(out / "cmp" / "report.csv")[1:]]
     assert "partial_r_given_x,y" in statistics
+    assert "partial_r_given_x\ry" in statistics
 
 
 def test_cli_import_loads_no_scipy():

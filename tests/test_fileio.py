@@ -13,9 +13,11 @@ from citerank.fileio import (
     read_edge_list,
     read_score_table,
     write_correlation_csv,
+    write_csv,
     write_edge_list,
-    write_score_table,
 )
+
+from conftest import weight_dict
 
 
 def test_fmt_15_significant_digits():
@@ -30,7 +32,7 @@ def test_edge_list_round_trip(tmp_path):
     write_edge_list(net, path)
     back = CitationNetwork.from_edges(read_edge_list(path))
     assert back.node_ids == net.node_ids
-    assert back.weights == net.weights
+    assert weight_dict(back) == weight_dict(net)
 
 
 def test_edge_list_rejects_bad_rows(tmp_path):
@@ -92,19 +94,19 @@ def test_edge_list_rows_sorted_by_id_with_csv_quoting(tmp_path):
     expected = io.StringIO(newline="")
     out = csv.writer(expected)
     out.writerow(["source", "target", "weight"])
-    out.writerows(sorted((ids[i], ids[j], x) for (i, j), x in net.weights.items()))
+    out.writerows(sorted((ids[i], ids[j], x) for (i, j), x in weight_dict(net).items()))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_score_table_round_trip(tmp_path):
     table = ScoreTable(
-        "FIN",
         ("i1", "i2", "i3"),
         {"PUB": np.array([1.5, 2.0, 3.25]), "CNCI": np.array([0.0, 10.0, 5.5])},
     )
     path = tmp_path / "table.csv"
-    write_score_table(table, path)
-    back = read_score_table(path, subject="FIN")
+    rows = zip(table.institutions, *(map(fmt, col) for col in table.columns.values()))
+    write_csv(path, ["institution", *table.column_names], rows)
+    back = read_score_table(path)
     assert back.institutions == table.institutions
     assert back.column_names == table.column_names
     for name in table.column_names:

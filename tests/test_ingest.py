@@ -10,11 +10,12 @@ from citerank import (
     default_profiles,
     filter_records,
     load_profiles,
-    network_summary,
     parse_records,
 )
 from citerank.errors import InputError, ParseError
 from citerank.fileio import bundled_data
+
+from conftest import weight_dict
 
 
 def _line(pub_id, year=2012, category="Telecommunications", affils=("Uni-A",), refs=()):
@@ -219,7 +220,7 @@ def test_build_single_citation():
         ]
     )
     net = build_network(res.records, {"a", "b"}, _profile())
-    assert net.weights == {(net.index_of("a"), net.index_of("b")): 1}
+    assert weight_dict(net) == {(net.node_ids.index("a"), net.node_ids.index("b")): 1}
 
 
 def test_build_cross_product_drops_self_pairs():
@@ -232,7 +233,7 @@ def test_build_cross_product_drops_self_pairs():
     net = build_network(res.records, {"a", "b", "c"}, _profile())
     expected = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
     actual = {
-        (net.node_ids[i], net.node_ids[j]): w for (i, j), w in net.weights.items()
+        (net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()
     }
     assert actual == expected
 
@@ -246,7 +247,7 @@ def test_build_keeps_self_pairs_when_enabled():
     )
     net = build_network(res.records, {"a", "b"}, _profile(), keep_self_loops=True)
     actual = {
-        (net.node_ids[i], net.node_ids[j]): w for (i, j), w in net.weights.items()
+        (net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()
     }
     assert actual == {("a", "b"): 1, ("b", "b"): 1}
 
@@ -281,7 +282,7 @@ def test_build_is_record_order_invariant():
     net_fwd = build_network(res_fwd.records, retained, _profile())
     net_rev = build_network(res_rev.records, retained, _profile())
     assert net_fwd.node_ids == net_rev.node_ids
-    assert net_fwd.weights == net_rev.weights
+    assert weight_dict(net_fwd) == weight_dict(net_rev)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +332,11 @@ def test_fixture_network_matches_hand_count(fixture_records, fixture_manifest):
     profile = _profile(threshold=fixture_manifest["threshold"])
     retained = apply_threshold(filter_records(fixture_records, profile), profile)
     net = build_network(fixture_records, retained, profile)
-    summary = network_summary(net)
-    assert summary.nodes == fixture_manifest["nodes"]
-    assert summary.edges == fixture_manifest["edge_count"]
-    assert summary.citations == fixture_manifest["total_weight"]
+    assert net.n_nodes == fixture_manifest["nodes"]
+    assert net.n_edges == fixture_manifest["edge_count"]
+    assert net.total_weight == fixture_manifest["total_weight"]
     actual_edges = sorted(
-        [net.node_ids[i], net.node_ids[j], w] for (i, j), w in net.weights.items()
+        [net.node_ids[i], net.node_ids[j], w] for (i, j), w in weight_dict(net).items()
     )
     assert actual_edges == sorted(fixture_manifest["edges"])
 

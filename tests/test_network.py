@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from citerank import (
-    CitationNetwork,
-    centrality_distribution,
-    degree_centrality,
-    degree_report,
-    in_degree,
-    network_summary,
-)
+from citerank import CitationNetwork, degree_report, in_degree
 from citerank.errors import DegenerateNetworkError
 
-from conftest import build_from_dict, make_random_network
+from conftest import build_from_dict, dense, make_random_network, weight_dict
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +32,11 @@ def test_rejects_out_of_range_indices():
 def test_self_loops_dropped_by_default_and_kept_on_request():
     weights = {(0, 0): 5, (0, 1): 2}
     net = build_from_dict(("a", "b"), weights)
-    assert (0, 0) not in net.weights
+    assert (0, 0) not in weight_dict(net)
     assert net.self_loops_included is False
 
     kept = build_from_dict(("a", "b"), weights, keep_self_loops=True)
-    assert kept.weights[(0, 0)] == 5
+    assert weight_dict(kept)[(0, 0)] == 5
     assert kept.self_loops_included is True
 
 
@@ -52,8 +45,8 @@ def test_from_edges_accumulates_and_sorts_nodes():
         [("z", "m", 2), ("z", "m", 3), ("a", "z", 1)], extra_nodes=["q"]
     )
     assert net.node_ids == ("a", "m", "q", "z")
-    z, m = net.index_of("z"), net.index_of("m")
-    assert net.weights[(z, m)] == 5
+    z, m = net.node_ids.index("z"), net.node_ids.index("m")
+    assert weight_dict(net)[(z, m)] == 5
 
 
 def test_build_matches_dict_accumulation():
@@ -69,20 +62,18 @@ def test_build_matches_dict_accumulation():
                 expected[(i, j)] = expected.get((i, j), 0) + x
         ids = [f"n{k}" for k in rng.permutation(n)]
         net = CitationNetwork.build(ids, src, dst, w, keep_self_loops=keep)
-        assert dict(net.weights) == expected
+        assert weight_dict(net) == expected
         assert list(zip(net.source.tolist(), net.target.tolist())) == sorted(expected)
         assert net.total_weight == sum(expected.values())
 
 
-def test_edge_arrays_and_weights_view_are_read_only():
+def test_edge_arrays_are_read_only():
     net = CitationNetwork.from_edges([("a", "b", 2), ("b", "c", 1)])
     for arr in (net.source, net.target, net.weight):
         assert arr.dtype == np.int64
         with pytest.raises(ValueError):
             arr[0] = 3
-    with pytest.raises(TypeError):
-        net.weights[(0, 1)] = 3
-    assert net.weights == {(0, 1): 2, (1, 2): 1}
+    assert weight_dict(net) == {(0, 1): 2, (1, 2): 1}
 
 
 def test_build_does_not_alias_caller_arrays():
@@ -119,15 +110,6 @@ def test_weights_beyond_int64_are_rejected():
     assert type(net.total_weight) is int
 
 
-def test_adjacency_matches_weights():
-    rng = np.random.default_rng(11)
-    net = make_random_network(rng, 20)
-    dense = net.to_dense()
-    for i in range(net.n_nodes):
-        for j in range(net.n_nodes):
-            assert net.has_edge(i, j) == (dense[i, j] > 0)
-
-
 # ---------------------------------------------------------------------------
 # In-degree
 # ---------------------------------------------------------------------------
@@ -136,7 +118,7 @@ def test_adjacency_matches_weights():
 def test_in_degree_star():
     edges = [(f"s{i}", "hub", 1) for i in range(4)]
     net = CitationNetwork.from_edges(edges)
-    assert in_degree(net)[net.index_of("hub")] == 4
+    assert in_degree(net)[net.node_ids.index("hub")] == 4
 
 
 def test_in_degree_isolated_node():
@@ -151,7 +133,7 @@ def test_in_degree_three_node_fixture(three_node_net):
 
 def test_in_degree_counts_citers_not_weight():
     net = CitationNetwork.from_edges([("a", "b", 50)])
-    assert in_degree(net)[net.index_of("b")] == 1
+    assert in_degree(net)[net.node_ids.index("b")] == 1
 
 
 def test_in_degree_ignores_self_loops_even_when_stored():
@@ -169,10 +151,8 @@ def test_in_degree_matches_brute_force_double_loop():
     for _ in range(20):
         n = int(rng.integers(2, 51))
         net = make_random_network(rng, n)
-        dense = net.to_dense()
-        expected = [
-            sum(1 for j in range(n) if j != i and dense[j, i] > 0) for i in range(n)
-        ]
+        mat = dense(net)
+        expected = [sum(1 for j in range(n) if j != i and mat[j, i] > 0) for i in range(n)]
         assert in_degree(net).tolist() == expected
 
 
@@ -184,27 +164,27 @@ def test_in_degree_matches_brute_force_double_loop():
 def test_centrality_bound_attained_iff_cited_by_all():
     edges = [(f"s{i}", "hub", 1) for i in range(5)]
     net = CitationNetwork.from_edges(edges)
-    c = degree_centrality(net)
-    hub = net.index_of("hub")
+    c = degree_report(net).degree_centrality
+    hub = net.node_ids.index("hub")
     assert c[hub] == 1.0
     assert all(x < 1.0 for k, x in enumerate(c) if k != hub)
 
 
 def test_centrality_three_node_fixture(three_node_net):
-    assert degree_centrality(three_node_net).tolist() == [0.0, 1.0, 0.5]
+    assert degree_report(three_node_net).degree_centrality.tolist() == [0.0, 1.0, 0.5]
 
 
 def test_centrality_in_unit_interval_random():
     rng = np.random.default_rng(7)
     for _ in range(10):
         net = make_random_network(rng, int(rng.integers(2, 40)))
-        c = degree_centrality(net)
+        c = degree_report(net).degree_centrality
         assert np.all((0.0 <= c) & (c <= 1.0))
 
 
 def test_centrality_rejects_degenerate_network():
     with pytest.raises(DegenerateNetworkError):
-        degree_centrality(build_from_dict(("only",), {}))
+        degree_report(build_from_dict(("only",), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +193,17 @@ def test_centrality_rejects_degenerate_network():
 
 
 def test_centrality_distribution_of_cycle(cycle3):
-    assert centrality_distribution(cycle3) == [(0.5, 1.0)]
+    assert degree_report(cycle3).centrality_distribution == [(0.5, 1.0)]
 
 
 def test_centrality_distribution_three_node_fixture(three_node_net):
-    dist = centrality_distribution(three_node_net)
+    dist = degree_report(three_node_net).centrality_distribution
     assert dist == [(0.0, pytest.approx(1 / 3)), (0.5, pytest.approx(1 / 3)), (1.0, pytest.approx(1 / 3))]
 
 
 def test_centrality_distribution_empty_edge_set():
     net = build_from_dict(("a", "b", "c", "d"), {})
-    assert centrality_distribution(net) == [(0.0, 1.0)]
+    assert degree_report(net).centrality_distribution == [(0.0, 1.0)]
 
 
 def test_distributions_count_every_node_once():
@@ -231,7 +211,7 @@ def test_distributions_count_every_node_once():
     for _ in range(10):
         n = int(rng.integers(2, 45))
         net = make_random_network(rng, n)
-        dist = centrality_distribution(net)
+        dist = degree_report(net).centrality_distribution
         assert sum(p for _, p in dist) * n == pytest.approx(n, abs=1e-12)
         values = [v for v, _ in dist]
         assert values == sorted(values)
@@ -243,18 +223,17 @@ def test_distributions_count_every_node_once():
 
 
 def test_summary_three_node_fixture(three_node_net):
-    s = network_summary(three_node_net)
-    assert (s.nodes, s.citations, s.edges) == (3, 3, 3)
+    net = three_node_net
+    assert (net.n_nodes, net.total_weight, net.n_edges) == (3, 3, 3)
 
 
 def test_summary_empty_network():
-    s = network_summary(build_from_dict((), {}))
-    assert (s.nodes, s.citations, s.edges) == (0, 0, 0)
+    net = build_from_dict((), {})
+    assert (net.n_nodes, net.total_weight, net.n_edges) == (0, 0, 0)
 
 
 def test_summary_sums_weights():
-    s = network_summary(CitationNetwork.from_edges([("a", "b", 7)]))
-    assert s.citations == 7
+    assert CitationNetwork.from_edges([("a", "b", 7)]).total_weight == 7
 
 
 def test_degree_report_bundles_consistent_views(three_node_net):

@@ -2,15 +2,24 @@ import numpy as np
 import pytest
 
 from citerank import (
+    CartelSpec,
     CitationNetwork,
     DanglingPolicy,
     PageRankConfig,
+    SynthConfig,
+    generate_traced,
     normalize_weights,
     pagerank,
 )
 from citerank.errors import EmptyNetworkError
 
-from conftest import OracleSizeError, build_from_dict, make_random_network, pagerank_oracle
+from conftest import (
+    OracleSizeError,
+    build_from_dict,
+    make_random_network,
+    pagerank_oracle,
+    weight_dict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +52,7 @@ def share_of(trans, source: int, target: int) -> float:
 def test_normalize_single_edge_flags_target_dangling():
     net = CitationNetwork.from_edges([("a", "b", 7)])
     trans = normalize_weights(net)
-    a, b = net.index_of("a"), net.index_of("b")
+    a, b = net.node_ids.index("a"), net.node_ids.index("b")
     assert share_of(trans, a, b) == 1.0
     assert not trans.dangling[a]
     assert trans.dangling[b]
@@ -52,9 +61,9 @@ def test_normalize_single_edge_flags_target_dangling():
 def test_normalize_proportional_split():
     net = CitationNetwork.from_edges([("a", "b", 3), ("a", "c", 1)])
     trans = normalize_weights(net)
-    a = net.index_of("a")
-    assert share_of(trans, a, net.index_of("b")) == 0.75
-    assert share_of(trans, a, net.index_of("c")) == 0.25
+    a = net.node_ids.index("a")
+    assert share_of(trans, a, net.node_ids.index("b")) == 0.75
+    assert share_of(trans, a, net.node_ids.index("c")) == 0.25
 
 
 def test_normalize_all_dangling_without_edges():
@@ -100,7 +109,7 @@ def test_two_node_chain_matches_dense_solution():
     oracle = pagerank_oracle(net, cfg)
     assert np.abs(res.scores - oracle).sum() < 1e-10
     # dangling mass of b is spread uniformly, so b still ends ahead of a
-    assert res.scores[net.index_of("b")] > res.scores[net.index_of("a")]
+    assert res.scores[net.node_ids.index("b")] > res.scores[net.node_ids.index("a")]
 
 
 def test_empty_network_is_an_error():
@@ -187,7 +196,7 @@ def test_permutation_equivariance():
         ids = tuple(net.node_ids[k] for k in perm)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(net.n_nodes)
-        weights = {(int(inverse[i]), int(inverse[j])): w for (i, j), w in net.weights.items()}
+        weights = {(int(inverse[i]), int(inverse[j])): w for (i, j), w in weight_dict(net).items()}
         permuted = build_from_dict(ids, weights)
         scores = pagerank(permuted).scores
         assert np.max(np.abs(scores[inverse] - base)) < 1e-12
@@ -223,10 +232,10 @@ def csr_power_iteration(net: CitationNetwork, cfg: PageRankConfig) -> tuple[np.n
     sp = pytest.importorskip("scipy.sparse")
     n = net.n_nodes
     out_sum = np.zeros(n)
-    for (i, _j), w in net.weights.items():
+    for (i, _j), w in weight_dict(net).items():
         out_sum[i] += w
     rows, cols, data = [], [], []
-    for i, j, w in net.edges():
+    for (i, j), w in weight_dict(net).items():
         rows.append(j)
         cols.append(i)
         data.append(w / out_sum[i])
@@ -265,3 +274,18 @@ def test_matches_csr_power_iteration_bit_for_bit(policy):
     assert normalize_weights(net).dangling.sum() >= n // 4
     assert res.iterations_used == iterations
     assert np.array_equal(res.scores, expected)
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+def test_matches_networkx_at_benchmark_scale(n):
+    # an oracle outside citerank at the sizes the benchmark runs, cartel included
+    nx = pytest.importorskip("networkx")
+    cfg = SynthConfig(n_nodes=n, cartel=CartelSpec(10, 20), seed=3)
+    net = generate_traced(cfg).network
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_weighted_edges_from(zip(*(a.tolist() for a in (net.source, net.target, net.weight))))
+    expected = nx.pagerank(graph, alpha=0.85, tol=1e-15, max_iter=1000, weight="weight")
+    res = pagerank(net, PageRankConfig(damping=0.85, tolerance=1e-14))
+    assert res.converged
+    assert np.abs(res.scores - np.array([expected[k] for k in range(n)])).sum() < 1e-10

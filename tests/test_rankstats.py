@@ -132,6 +132,42 @@ def test_average_rank_matches_oracle():
         )
 
 
+def average_rank_loop(values, descending=False):
+    """The earlier loop over tie runs, kept as the bit-for-bit reference."""
+    v = np.asarray(values, dtype=np.float64)
+    key = -v if descending else v
+    order = np.argsort(key, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and key[order[j + 1]] == key[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_rank_matches_tie_run_loop_bit_for_bit():
+    rng = np.random.default_rng(560)
+    for k in range(280):
+        n = int(rng.integers(0, 4001)) if k % 7 == 0 else int(rng.integers(0, 60))
+        kind = k % 4
+        if kind == 0:
+            v = rng.normal(size=n)
+        elif kind == 1:  # heavy ties
+            v = rng.integers(0, max(1, n // 20), size=n).astype(np.float64)
+        elif kind == 2:  # NaN, infinities and both zeros among ties
+            v = rng.choice([np.nan, -0.0, 0.0, 1.5, np.inf, -np.inf], size=n)
+        else:
+            v = np.round(rng.normal(scale=3.0, size=n))
+            v[rng.random(n) < 0.1] = np.nan
+        for descending in (False, True):
+            assert np.array_equal(
+                average_rank(v, descending), average_rank_loop(v, descending), equal_nan=True
+            ), (k, descending)
+
+
 # ---------------------------------------------------------------------------
 # pearson
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_compress_scale_invariant_and_order_preserving():
 
 def _table(columns):
     n = len(next(iter(columns.values())))
-    return ScoreTable("FIN", tuple(f"i{k}" for k in range(n)), columns)
+    return ScoreTable(tuple(f"i{k}" for k in range(n)), columns)
 
 
 def test_composite_identity_at_100_for_every_default_profile():
@@ -178,15 +178,20 @@ def test_normalize_scale_invariant_and_order_preserving():
 
 def test_score_table_rejects_ragged_and_negative_columns():
     with pytest.raises(ValueError):
-        ScoreTable("s", ("a", "b"), {"x": np.array([1.0])})
+        ScoreTable(("a", "b"), {"x": np.array([1.0])})
     with pytest.raises(ValueError):
-        ScoreTable("s", ("a", "b"), {"x": np.array([1.0, -2.0])})
+        ScoreTable(("a", "b"), {"x": np.array([1.0, -2.0])})
 
 
-def test_score_table_with_column_returns_new_table():
-    table = ScoreTable("s", ("a", "b"), {"x": np.array([1.0, 2.0])})
-    grown = table.with_column("y", np.array([3.0, 4.0]))
-    assert "y" not in table.columns
-    assert grown.column("y").tolist() == [3.0, 4.0]
-    with pytest.raises(MissingColumnError):
-        table.column("y")
+def test_score_table_is_immutable_and_copies_its_columns():
+    x = np.array([1.0, 2.0])
+    table = ScoreTable(("a", "b"), {"x": x})
+    with pytest.raises(TypeError):
+        table.columns["y"] = np.array([3.0, 4.0])
+    with pytest.raises(ValueError):
+        table.columns["x"][0] = 5.0
+    with pytest.raises(AttributeError):
+        table.institutions = ("c", "d")
+    x[0] = 9.0
+    assert x.flags.writeable
+    assert table.columns["x"].tolist() == [1.0, 2.0]

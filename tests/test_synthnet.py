@@ -7,7 +7,7 @@ from citerank import CartelSpec, SynthConfig, generate_traced, in_degree
 from citerank import synthnet
 from citerank.errors import NumericError
 
-from conftest import build_from_dict
+from conftest import build_from_dict, weight_dict
 
 
 def _reference_generate(cfg):
@@ -48,7 +48,7 @@ def _assert_matches_reference(cfg):
     got = generate_traced(cfg)
     want = _reference_generate(cfg)
     assert got.network.node_ids == want.network.node_ids
-    assert got.network.weights == want.network.weights
+    assert weight_dict(got.network) == weight_dict(want.network)
     assert got.cartel_members == want.cartel_members
     return got
 
@@ -113,12 +113,12 @@ def test_overflow_fails_where_reference_fails(exponent):
             with pytest.raises(NumericError, match="overflow"):
                 generate_traced(cfg)
         else:
-            assert generate_traced(cfg).network.weights == want.network.weights
+            assert weight_dict(generate_traced(cfg).network) == weight_dict(want.network)
 
 
 def _in_strength(net):
     received = np.zeros(net.n_nodes)
-    for (_i, j), w in net.weights.items():
+    for (_i, j), w in weight_dict(net).items():
         received[j] += w
     return received
 
@@ -128,20 +128,20 @@ def test_same_seed_reproduces_identical_network():
     a = generate_traced(cfg).network
     b = generate_traced(cfg).network
     assert a.node_ids == b.node_ids
-    assert a.weights == b.weights
+    assert weight_dict(a) == weight_dict(b)
 
 
 def test_different_seeds_differ():
     a = generate_traced(SynthConfig(n_nodes=60, seed=1)).network
     b = generate_traced(SynthConfig(n_nodes=60, seed=2)).network
-    assert a.weights != b.weights
+    assert weight_dict(a) != weight_dict(b)
 
 
 def test_generated_network_is_valid():
     net = generate_traced(SynthConfig(n_nodes=80, mean_out_citations=6.0, seed=9)).network
     assert net.n_nodes == 80
-    assert all(w >= 1 for w in net.weights.values())
-    assert all(i != j for (i, j) in net.weights)  # no self-citations
+    assert all(w >= 1 for w in weight_dict(net).values())
+    assert all(i != j for (i, j) in weight_dict(net))  # no self-citations
 
 
 def test_uniform_attachment_mean_in_strength_tracks_mean_out():
@@ -177,7 +177,7 @@ def test_cartel_members_are_least_cited_and_reported():
     assert len(traced.cartel_members) == 5
     received = _in_strength(base)
     cutoff = np.sort(received)[4]
-    member_idx = [base.index_of(m) for m in traced.cartel_members]
+    member_idx = [base.node_ids.index(m) for m in traced.cartel_members]
     assert all(received[i] <= cutoff for i in member_idx)
 
 
@@ -187,10 +187,10 @@ def test_cartel_raises_internal_weight_share():
                              cartel=CartelSpec(member_count=5, internal_weight_boost=20))
     plain = generate_traced(plain_cfg).network
     traced = generate_traced(cartel_cfg)
-    members = {traced.network.index_of(m) for m in traced.cartel_members}
+    members = {traced.network.node_ids.index(m) for m in traced.cartel_members}
 
     def internal_share(net):
-        internal = sum(w for (i, j), w in net.weights.items() if i in members and j in members)
+        internal = sum(w for (i, j), w in weight_dict(net).items() if i in members and j in members)
         return internal / net.total_weight
 
     assert internal_share(traced.network) > internal_share(plain)
@@ -202,10 +202,10 @@ def test_cartel_leaves_base_network_untouched():
         SynthConfig(n_nodes=40, mean_out_citations=4.0, seed=21,
                     cartel=CartelSpec(member_count=4, internal_weight_boost=7))
     )
-    members = {traced.network.index_of(m) for m in traced.cartel_members}
-    for (i, j), w in plain.weights.items():
+    members = {traced.network.node_ids.index(m) for m in traced.cartel_members}
+    for (i, j), w in weight_dict(plain).items():
         expected = w + (7 if i in members and j in members else 0)
-        assert traced.network.weights[(i, j)] == expected
+        assert weight_dict(traced.network)[(i, j)] == expected
 
 
 def test_config_validation():
