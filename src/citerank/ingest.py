@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,24 +107,11 @@ class SubjectProfile:
 def default_profiles() -> dict[str, SubjectProfile]:
     """The five built-in subject profiles with their standard indicator weights.
 
-    Publication thresholds are deployment-specific and default to 1; override
-    per run via configuration or the --threshold flag.
+    They are the ones the package ships in data/profiles.json. Publication
+    thresholds are deployment-specific and default to 1; override per run
+    via configuration or the --threshold flag.
     """
-    rows = [
-        ("DEN", "Dentistry, Oral Surgery & Medicine", (100, 100, 20, 100, 100)),
-        ("FIN", "Business, Finance", (150, 50, 10, 100, 0)),
-        ("LIB", "Information Science & Library Science", (150, 50, 10, 100, 0)),
-        ("TEL", "Telecommunications", (100, 100, 20, 100, 0)),
-        ("VET", "Veterinary Sciences", (100, 100, 20, 200, 0)),
-    ]
-    return {
-        name: SubjectProfile(
-            name=name,
-            category=category,
-            indicator_weights=dict(zip(INDICATORS, weights)),
-        )
-        for name, category, weights in rows
-    }
+    return load_profiles(Path(__file__).parent / "data" / "profiles.json")
 
 
 def load_profiles(path) -> dict[str, SubjectProfile]:

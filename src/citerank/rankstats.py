@@ -12,6 +12,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -89,17 +90,56 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
+def _series_terms(log_c2: float, odd: int):
+    """Positive terms coef_k cos^2k(theta), k = 0, 1, ..., of the A&S 26.7.3-4 series.
+
+    coef_k is the product over j <= k of (2j - 1)/(2j) for even dof, (2j)/(2j + 1) for odd.
+    """
+    coef, k = 1.0, 0
+    while True:
+        yield coef * math.exp(k * log_c2)
+        k += 1
+        coef *= (2 * k - 1 + odd) / (2 * k + odd)
+
+
 def _t_two_sided_p(r: float, dof: int) -> float:
-    """Two-sided p-value for a correlation via t = r * sqrt(dof / (1 - r^2))."""
+    """Two-sided p-value for a correlation via t = r * sqrt(dof / (1 - r^2)).
+
+    P(|T| >= t) for Student's t with integer dof, from the finite series of
+    Abramowitz & Stegun 26.7.3-4 in theta = atan(t / sqrt(dof)). There
+    sin(theta) = |r| and cos^2(theta) = 1 - r^2, so t is never formed:
+      even dof: P(|T| < t) = sin * sum_{k < dof/2} coef_k cos^2k
+      odd dof:  P(|T| < t) = (2/pi) (theta + sin cos sum_{k < (dof-1)/2} coef_k cos^2k)
+    The infinite series makes that probability exactly 1, so the p-value is
+    also the prefactor times the series' tail from k = dof // 2. Below 1e-3
+    the tail is summed instead of 1 - sum, which keeps the digits of tiny p.
+    """
     if dof < 1:
         raise UndefinedStatisticError(f"too few observations ({dof} degrees of freedom)")
     if 1.0 - r * r <= 0.0:
         return 0.0
-    # imported here so that only commands reporting p-values pay scipy's import time
-    from scipy.special import stdtr
-
-    t = abs(r) * math.sqrt(dof / (1.0 - r * r))
-    return 2.0 * float(stdtr(dof, -t))
+    s = abs(r)
+    log_c2 = math.log1p(-r * r)  # log cos^2(theta); exact where 1 - r*r would round
+    odd = dof % 2
+    if odd:
+        prefactor = 2.0 / math.pi * s * math.exp(0.5 * log_c2)
+        head = 2.0 / math.pi * math.asin(s)
+    else:
+        prefactor, head = s, 0.0
+    terms = _series_terms(log_c2, odd)
+    p = 1.0 - head - prefactor * math.fsum(itertools.islice(terms, dof // 2))
+    if p >= 1e-3:
+        return p
+    # terms fall by more than cos^2 each, so what follows a term t is below
+    # t * cos^2 / (1 - cos^2); stop once that is beneath double precision
+    tail, running = [], 0.0
+    stop = -math.expm1(log_c2) * 2.0**-60
+    for term in terms:
+        tail.append(term)
+        running += term
+        if term <= stop * running:
+            break
+    return prefactor * math.fsum(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .pagerank import PageRankResult
 __all__ = ["ScoreTable", "compress", "composite_score", "normalize_pagerank"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Named per-institution score columns.
 
@@ -53,6 +53,15 @@ class ScoreTable:
             columns[name] = arr
         object.__setattr__(self, "institutions", institutions)
         object.__setattr__(self, "columns", MappingProxyType(columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return (
+            self.institutions == other.institutions
+            and self.column_names == other.column_names
+            and all(np.array_equal(self.columns[n], other.columns[n]) for n in self.columns)
+        )
 
     @property
     def column_names(self) -> tuple[str, ...]:

@@ -21,6 +21,9 @@ from .network import CitationNetwork
 
 __all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate_traced"]
 
+# the largest mean numpy's Poisson draw accepts (POISSON_LAM_MAX in numpy.random)
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class CartelSpec:
@@ -49,6 +52,8 @@ class SynthConfig:
             raise InputError("mean_out_citations must be finite")
         if not self.mean_out_citations > 0:
             raise InputError("mean_out_citations must be positive")
+        if self.mean_out_citations > _POISSON_LAM_MAX:
+            raise InputError(f"mean_out_citations must be at most {_POISSON_LAM_MAX:.6g}")
         if not math.isfinite(self.attachment_exponent):
             raise InputError("attachment_exponent must be finite")
         if self.attachment_exponent < 0:

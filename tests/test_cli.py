@@ -433,6 +433,7 @@ def test_pagerank_ranking_of_synth_network_is_pinned(tmp_path):
         (["--cartel-size", "1", "--cartel-boost", "5"], "a cartel needs at least 2 members"),
         (["--cartel-boost", "5"], "--cartel-boost requires --cartel-size"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--mean-out", "1e19"], "mean_out_citations"),
     ],
 )
 def test_synth_bad_parameters_exit_one(tmp_path, capsys, flags, message):
@@ -543,14 +544,31 @@ def test_every_csv_written_parses_to_rows_of_header_width(tmp_path):
     assert "partial_r_given_x\ry" in statistics
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy costs ~0.3 s per process; only p-values need it, imported on use
+def test_cli_chain_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: a scipy that cannot be imported breaks nothing
+    stub = tmp_path / "stub" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
     src = str(Path(citerank.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(stub.parent), src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, citerank.cli; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    loaded = {name.split(".")[0] for name in out.split()}
-    assert "citerank" in loaded
-    assert "scipy" not in loaded
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "citerank.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (argv[0], done.stderr)
+
+    out = tmp_path / "out"
+    cli("build", RECORDS, "--subject", "TEL", "--threshold", "3", "--out", out / "net")
+    cli("pagerank", out / "net" / "edges.csv", "--out", out / "pr")
+    in_degree = {row[0]: row[1] for row in _read_csv(out / "net" / "nodes.csv")[1:]}
+    rows = [f"{inst},{score},{in_degree[inst]},{MANIFEST['publication_counts'][inst]}"
+            for _rank, inst, score, _norm in _read_csv(out / "pr" / "ranking.csv")[1:]]
+    table = tmp_path / "table.csv"
+    table.write_text("institution,pagerank,CIT,PUB\n" + "\n".join(rows) + "\n")
+    cli("compare", table, "--col-a", "pagerank", "--col-b", "CIT", "--control", "PUB",
+        "--out", out / "cmp")
+    cli("pca", "--table", table, "--retain", "2", "--out", out / "pca")
+    report = json.loads((out / "cmp" / "report.json").read_text())
+    assert 0.0 <= report["pearson"]["p"] <= 1.0
+    assert "PUB" in report["partial"]

@@ -285,6 +285,29 @@ def test_build_is_record_order_invariant():
     assert weight_dict(net_fwd) == weight_dict(net_rev)
 
 
+def test_build_ignores_record_order():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    affils = st.lists(st.sampled_from(["A", "b", " B ", "C", "D"]), min_size=1, max_size=3)
+    # references to records in the set (p0..p5), outside it (p9), or without an id
+    ref = st.tuples(st.sampled_from(["p0", "p1", "p2", "p3", "p4", "p5", "p9", None]), affils)
+    record = st.tuples(affils, st.lists(ref, max_size=4))
+
+    @hypothesis.settings(derandomize=True, database=None)
+    @hypothesis.given(st.lists(record, min_size=1, max_size=6), st.booleans(), st.data())
+    def check(records, keep_self_loops, data):
+        lines = [_line(f"p{k}", affils=a, refs=refs) for k, (a, refs) in enumerate(records)]
+        shuffled = data.draw(st.permutations(lines))
+        retained = {"a", "b", "c"}
+        nets = [
+            build_network(_parse(ls).records, retained, _profile(), keep_self_loops=keep_self_loops)
+            for ls in (lines, shuffled)
+        ]
+        assert nets[0] == nets[1]
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # Bundled fixture against its hand-counted manifest
 # ---------------------------------------------------------------------------

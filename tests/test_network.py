@@ -49,6 +49,24 @@ def test_from_edges_accumulates_and_sorts_nodes():
     assert weight_dict(net)[(z, m)] == 5
 
 
+def test_from_edges_ignores_edge_order():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    triple = st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"), st.integers(1, 9))
+    # five ids make repeated pairs common, and edges[::2] repeats whole triples
+    edge_lists = st.lists(triple, max_size=30).map(lambda edges: edges + edges[::2])
+
+    @hypothesis.settings(derandomize=True, database=None)
+    @hypothesis.given(edge_lists, st.booleans(), st.data())
+    def check(edges, keep_self_loops, data):
+        shuffled = data.draw(st.permutations(edges))
+        assert CitationNetwork.from_edges(shuffled, keep_self_loops=keep_self_loops) == (
+            CitationNetwork.from_edges(edges, keep_self_loops=keep_self_loops)
+        )
+
+    check()
+
+
 def test_build_matches_dict_accumulation():
     rng = np.random.default_rng(404)
     for keep in (False, True):

@@ -21,7 +21,7 @@ from citerank.errors import (
     InvalidCorrelationMatrixError,
     UndefinedStatisticError,
 )
-from citerank.rankstats import partial_from_pairwise
+from citerank.rankstats import _t_two_sided_p, partial_from_pairwise
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,42 @@ def test_pearson_p_value_against_scipy():
         ref = stats.pearsonr(x, y)
         assert r == pytest.approx(ref.statistic, abs=1e-12)
         assert p == pytest.approx(ref.pvalue, abs=1e-10)
+
+
+P_VALUE_DOFS = [*range(2, 80), 100, 101, 999, 1000, 1998, 3993, 3994, 4997, 20000, 99999]
+
+
+@pytest.mark.parametrize("dof", P_VALUE_DOFS)
+def test_p_value_closed_form_against_scipy_stdtr(dof):
+    stdtr = pytest.importorskip("scipy.special").stdtr
+    # |r| from 1e-8 to 1 - 1e-6, denser around |r| = 3 / sqrt(dof), where t is about 3
+    grid = np.concatenate([
+        np.geomspace(1e-8, 0.5, 12),
+        1.0 - np.geomspace(1e-6, 0.5, 8),
+        3.0 / math.sqrt(dof) * np.array([0.8, 1.0, 1.1, 1.25]),
+    ])
+    for k, r in enumerate(grid[grid < 1.0].tolist()):
+        r = -r if k % 2 else r
+        t = abs(r) * math.sqrt(dof / (1.0 - r * r))
+        want = 2.0 * float(stdtr(dof, -t))
+        got = _t_two_sided_p(r, dof)
+        assert abs(got - want) <= 1e-12, (r, got, want)
+        if want >= 1e-300:
+            assert abs(got - want) <= 1e-10 * want, (r, got, want)
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-4, 0.1, 0.5, 0.9, 0.999, 0.9995, 0.9999])
+def test_p_value_exact_at_one_and_two_dof(r):
+    # the Cauchy and the 2-dof t tails are 1 - 2 asin|r| / pi and 1 - |r|
+    assert abs(_t_two_sided_p(r, 1) - (1.0 - 2.0 * math.asin(r) / math.pi)) <= 1e-15
+    assert abs(_t_two_sided_p(-r, 2) - (1.0 - r)) <= 1e-15
+
+
+def test_p_value_tail_at_one_dof():
+    # p < 1e-3 at 1 dof sums the series from its first term; r * r rounds by
+    # up to 1e-16, about 5e-11 of 1 - r^2, so only a relative bound holds here
+    r = 1.0 - 1e-6
+    assert _t_two_sided_p(r, 1) == pytest.approx(1.0 - 2.0 * math.asin(r) / math.pi, rel=1e-10)
 
 
 def test_pearson_affine_invariance():

@@ -195,3 +195,14 @@ def test_score_table_is_immutable_and_copies_its_columns():
     x[0] = 9.0
     assert x.flags.writeable
     assert table.columns["x"].tolist() == [1.0, 2.0]
+
+
+def test_score_table_equality_compares_values():
+    table = ScoreTable(("a", "b"), {"x": [1.0, 2.0], "y": [0.0, 3.0]})
+    assert table == ScoreTable(("a", "b"), {"x": np.array([1.0, 2.0]), "y": [0, 3]})
+    assert table != ScoreTable(("a", "b"), {"x": [1.0, 2.5], "y": [0.0, 3.0]})
+    assert table != ScoreTable(("a", "c"), {"x": [1.0, 2.0], "y": [0.0, 3.0]})
+    assert table != ScoreTable(("a", "b"), {"x": [1.0, 2.0], "z": [0.0, 3.0]})
+    assert table != ScoreTable(("a", "b"), {"y": [0.0, 3.0], "x": [1.0, 2.0]})
+    assert table != ScoreTable(("a", "b"), {"x": [1.0, 2.0]})
+    assert table != "not a table"
