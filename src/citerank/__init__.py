@@ -13,7 +13,6 @@ from .pagerank import (
 )
 from .ingest import (
     PublicationRecord,
-    Reference,
     SubjectProfile,
     apply_threshold,
     build_network,
@@ -52,7 +51,6 @@ __all__ = [
     "normalize_weights",
     "pagerank",
     "PublicationRecord",
-    "Reference",
     "SubjectProfile",
     "apply_threshold",
     "build_network",

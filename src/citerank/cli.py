@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages so every intermediate artifact lands
 on disk and can be inspected or reused:
 
     citerank build     records.jsonl --subject TEL --out DIR
-    citerank pagerank  edges.csv --out DIR
+    citerank pagerank  edges.csv --nodes nodes.csv --out DIR
     citerank compare   table.csv --col-a arwu_score --col-b pagerank_score --out DIR
     citerank pca       --corr matrix.csv --retain 2 --out DIR
     citerank synth     --nodes 100 --seed 7 --out DIR
@@ -53,7 +53,7 @@ class RunManifest:
     def write(self, out_dir: Path) -> None:
         payload = {
             "command": self.command,
-            "inputs": {k: str(v) for k, v in self.inputs.items()},
+            "inputs": {k: str(v) for k, v in self.inputs.items() if v is not None},
             "flags": self.flags,
             "outputs": sorted(self.outputs),
             "version": __version__,
@@ -176,9 +176,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_pagerank(args) -> int:
     edges = fileio.read_edge_list(_require_file(args.network))
-    if not edges:
+    nodes = fileio.read_institutions(_require_file(args.nodes)) if args.nodes else []
+    if not edges and not nodes:
         raise EmptyNetworkError("edge list is empty")
-    net = network.CitationNetwork.from_edges(edges, keep_self_loops=args.self_loops)
+    net = network.CitationNetwork.from_edges(edges, keep_self_loops=args.self_loops, extra_nodes=nodes)
     cfg = PageRankConfig(
         damping=args.damping,
         tolerance=args.tol,
@@ -198,7 +199,7 @@ def _cmd_pagerank(args) -> int:
     fileio.write_ranking_csv(out / "ranking.csv", net.node_ids, result.scores, normalized)
     manifest = RunManifest(
         command="pagerank",
-        inputs={"network": args.network},
+        inputs={"network": args.network, "nodes": args.nodes},
         flags={
             "damping": args.damping,
             "tol": args.tol,
@@ -372,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pr = sub.add_parser("pagerank", help="rank institutions in an edge-list network")
     p_pr.add_argument("network", help="edge list CSV (source,target,weight)")
+    p_pr.add_argument("--nodes", help="nodes.csv of the network: rank every institution it lists")
     p_pr.add_argument("--damping", type=float, default=0.85)
     p_pr.add_argument("--tol", type=float, default=1e-12)
     p_pr.add_argument("--max-iter", type=int, default=1000)

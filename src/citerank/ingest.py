@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import InputError, ParseError
 from .network import CitationNetwork
 
 __all__ = [
-    "Reference",
     "PublicationRecord",
     "SubjectProfile",
     "ParseIssue",
@@ -49,30 +48,14 @@ def normalize_institution(name: str) -> str:
     return name.strip().casefold()
 
 
-def _normalize_affiliations(names: Iterable[str]) -> tuple[str, ...]:
-    seen: list[str] = []
-    for name in names:
-        norm = normalize_institution(name)
-        if norm and norm not in seen:
-            seen.append(norm)
-    return tuple(seen)
+class PublicationRecord(NamedTuple):
+    """One parsed record; each reference is a plain (pub_id or None, affiliations) tuple."""
 
-
-@dataclass(frozen=True)
-class Reference:
-    """One cited work: its id (None if not indexed) and author institutions."""
-
-    pub_id: str | None
-    affiliations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PublicationRecord:
     pub_id: str
     year: int
     category: str
     affiliations: tuple[str, ...]
-    references: tuple[Reference, ...]
+    references: tuple[tuple[str | None, tuple[str, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -156,7 +139,26 @@ class ParseResult:
     issues: list[ParseIssue]
 
 
-def _parse_line(obj) -> PublicationRecord:
+def _institutions(names, spellings: dict[str, str], what: str) -> tuple[str, ...]:
+    """Distinct canonical ids of a JSON affiliation list, in first-seen order.
+
+    `spellings` caches each raw spelling's id, so a spelling is trimmed and case-folded once.
+    """
+    if not isinstance(names, list):
+        raise ValueError(f"{what} must be a list of strings")
+    ids: list[str] = []
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{what} must be a list of strings")
+        canon = spellings.get(name)
+        if canon is None:
+            canon = spellings[name] = normalize_institution(name)
+        if canon and canon not in ids:
+            ids.append(canon)
+    return tuple(ids)
+
+
+def _parse_line(obj, spellings: dict[str, str]) -> PublicationRecord:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     pub_id = obj.get("pub_id")
@@ -168,10 +170,7 @@ def _parse_line(obj) -> PublicationRecord:
     category = obj.get("category")
     if not isinstance(category, str) or not category.strip():
         raise ValueError("category must be a non-empty string")
-    affils = obj.get("affiliations")
-    if not isinstance(affils, list) or not all(isinstance(a, str) for a in affils):
-        raise ValueError("affiliations must be a list of strings")
-    affiliations = _normalize_affiliations(affils)
+    affiliations = _institutions(obj.get("affiliations"), spellings, "affiliations")
     if not affiliations:
         raise ValueError("affiliations must be non-empty")
     raw_refs = obj.get("references")
@@ -184,58 +183,44 @@ def _parse_line(obj) -> PublicationRecord:
         ref_id = ref.get("pub_id")
         if ref_id is not None and not isinstance(ref_id, str):
             raise ValueError("reference pub_id must be a string or null")
-        ref_affils = ref.get("affiliations")
-        if not isinstance(ref_affils, list) or not all(isinstance(a, str) for a in ref_affils):
-            raise ValueError("reference affiliations must be a list of strings")
-        references.append(Reference(ref_id, _normalize_affiliations(ref_affils)))
-    return PublicationRecord(
-        pub_id=pub_id.strip(),
-        year=year,
-        category=category.strip(),
-        affiliations=affiliations,
-        references=tuple(references),
-    )
+        ref_affiliations = _institutions(ref.get("affiliations"), spellings, "reference affiliations")
+        references.append((ref_id if ref_id is None else ref_id.strip(), ref_affiliations))
+    return PublicationRecord(pub_id.strip(), year, category.strip(), affiliations, tuple(references))
 
 
 def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     """Parse JSON Lines publication records.
 
-    Malformed lines and duplicate pub_ids are collected as ParseIssues with
-    their line numbers while valid lines proceed; in strict mode the first
-    issue raises ParseError instead. Blank lines are ignored.
+    Each record becomes a PublicationRecord whose ids are trimmed and whose
+    affiliations are canonical institution ids; its references are plain
+    (pub_id, affiliations) tuples of the same kind. Malformed lines and
+    duplicate pub_ids are collected as ParseIssues with their line numbers
+    while valid lines proceed; in strict mode the first issue raises
+    ParseError instead. Blank lines are ignored.
     """
     records: list[PublicationRecord] = []
     issues: list[ParseIssue] = []
     first_line_of: dict[str, int] = {}
-
-    def fail(line_no: int, message: str) -> None:
-        issue = ParseIssue(line_no, message)
-        if strict:
-            raise ParseError(f"line {line_no}: {message}")
-        issues.append(issue)
+    spellings: dict[str, str] = {}
 
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            record = _parse_line(json.loads(line), spellings)
         except json.JSONDecodeError as exc:
-            fail(line_no, f"invalid JSON: {exc.msg}")
-            continue
-        try:
-            record = _parse_line(obj)
+            message = f"invalid JSON: {exc.msg}"
         except ValueError as exc:
-            fail(line_no, str(exc))
-            continue
-        if record.pub_id in first_line_of:
-            fail(
-                line_no,
-                f"duplicate pub_id {record.pub_id!r} "
-                f"(first seen on line {first_line_of[record.pub_id]})",
-            )
-            continue
-        first_line_of[record.pub_id] = line_no
-        records.append(record)
+            message = str(exc)
+        else:
+            first = first_line_of.setdefault(record.pub_id, line_no)
+            if first == line_no:
+                records.append(record)
+                continue
+            message = f"duplicate pub_id {record.pub_id!r} (first seen on line {first})"
+        if strict:
+            raise ParseError(f"line {line_no}: {message}")
+        issues.append(ParseIssue(line_no, message))
     return ParseResult(records, issues)
 
 
@@ -293,10 +278,10 @@ def build_network(
         citing = [index[a] for a in rec.affiliations if a in index]
         if not citing:
             continue
-        for ref in rec.references:
-            if ref.pub_id is None or ref.pub_id not in dataset_ids:
+        for ref_id, ref_affiliations in rec.references:
+            if ref_id not in dataset_ids:
                 continue
-            cited = [index[b] for b in ref.affiliations if b in index]
+            cited = [index[b] for b in ref_affiliations if b in index]
             for a in citing:
                 sources.extend([a] * len(cited))
                 targets.extend(cited)

@@ -12,7 +12,7 @@ import pytest
 import citerank
 from citerank import compare_columns, pca
 from citerank.cli import main
-from citerank.fileio import bundled_data, read_correlation_csv
+from citerank.fileio import bundled_data, read_correlation_csv, write_ranking_csv
 
 RECORDS = bundled_data("sample_records.jsonl")
 CORR = bundled_data("metric_correlations.csv")
@@ -219,6 +219,57 @@ def test_pagerank_bad_damping_exits_one(cycle_edges, tmp_path, capsys):
     rc = main(["pagerank", str(cycle_edges), "--damping", "1.5", "--out", str(tmp_path / "pr")])
     assert rc == 1
     assert "damping" in capsys.readouterr().err
+
+
+def test_pagerank_with_nodes_ranks_what_the_library_ranks(tmp_path):
+    # uni-c publishes but only cites itself: an isolated node
+    records = tmp_path / "records.jsonl"
+    cites = {"p1": ("Uni-A", "p2", "Uni-B"), "p2": ("Uni-B", "p1", "Uni-A"), "p3": ("Uni-C", "p3", "Uni-C")}
+    records.write_text("".join(
+        json.dumps({"pub_id": pub_id, "year": 2012, "category": "Telecommunications",
+                    "affiliations": [inst], "references": [{"pub_id": ref, "affiliations": [cited]}]}) + "\n"
+        for pub_id, (inst, ref, cited) in cites.items()
+    ))
+    net_dir, pr_dir = tmp_path / "net", tmp_path / "pr"
+    assert main(["build", str(records), "--subject", "TEL", "--threshold", "1", "--out", str(net_dir)]) == 0
+    assert main(["pagerank", str(net_dir / "edges.csv"), "--nodes", str(net_dir / "nodes.csv"),
+                 "--out", str(pr_dir)]) == 0
+
+    profile = citerank.default_profiles()["TEL"]
+    with open(records, encoding="utf-8") as fh:
+        parsed = citerank.filter_records(citerank.parse_records(fh, strict=True).records, profile)
+    net = citerank.build_network(parsed, citerank.apply_threshold(parsed, profile), profile)
+    assert net.node_ids == ("uni-a", "uni-b", "uni-c")
+    result = citerank.pagerank(net)
+    library = tmp_path / "library.csv"
+    write_ranking_csv(library, net.node_ids, result.scores, citerank.normalize_pagerank(result))
+    assert (pr_dir / "ranking.csv").read_bytes() == library.read_bytes()
+    manifest = json.loads((pr_dir / "manifest.json").read_text())
+    assert manifest["inputs"]["nodes"] == str(net_dir / "nodes.csv")
+    # without --nodes the edge list alone sets the node set
+    assert main(["pagerank", str(net_dir / "edges.csv"), "--out", str(tmp_path / "pr0")]) == 0
+    assert len(_read_csv(tmp_path / "pr0" / "ranking.csv")) == 3
+
+
+def test_pagerank_with_nodes_ranks_a_network_without_edges(tmp_path):
+    edges, nodes = tmp_path / "edges.csv", tmp_path / "nodes.csv"
+    edges.write_text("source,target,weight\n")
+    nodes.write_text("institution,in_degree,degree_centrality\nb,0,0\na,0,0\n")
+    assert main(["pagerank", str(edges), "--nodes", str(nodes), "--out", str(tmp_path / "pr")]) == 0
+    rows = _read_csv(tmp_path / "pr" / "ranking.csv")[1:]
+    assert [(inst, float(score)) for _rank, inst, score, _norm in rows] == [("a", 0.5), ("b", 0.5)]
+
+
+def test_pagerank_nodes_file_needs_institution_ids(tmp_path, cycle_edges, capsys):
+    for text, message in [
+        ("name,x\na,1\n", "expected header 'institution,...'"),
+        ("institution,x\na,1\n ,2\n", "empty institution id"),
+    ]:
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(text)
+        argv = ["pagerank", str(cycle_edges), "--nodes", str(nodes), "--out", str(tmp_path / "pr")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

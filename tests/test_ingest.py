@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 
@@ -92,6 +93,97 @@ def test_parse_normalizes_and_dedupes_affiliations():
 def test_parse_ignores_blank_lines():
     res = _parse([_line("p1"), "", "   ", _line("p2")])
     assert len(res.records) == 2 and not res.issues
+
+
+_DROP = object()
+
+
+def _record(refs=None, **fields):
+    """JSON text of a valid record with fields replaced, or removed where set to _DROP."""
+    obj = {"pub_id": "pX", "year": 2012, "category": "Telecommunications",
+           "affiliations": ["Uni-A"], "references": [{"pub_id": "p1", "affiliations": ["B"]}]}
+    if refs is not None:
+        obj["references"] = refs
+    obj.update(fields)
+    return json.dumps({k: v for k, v in obj.items() if v is not _DROP})
+
+
+def _ref(**fields):
+    ref = {"pub_id": "p1", "affiliations": ["B"]}
+    ref.update(fields)
+    return {k: v for k, v in ref.items() if v is not _DROP}
+
+
+_AFFILS = "affiliations must be a list of strings"
+_REF_AFFILS = "reference affiliations must be a list of strings"
+
+# one line per check in the order the parser makes them; where a line breaks
+# several rules, the first check in that order names it
+PARSE_MESSAGES = [
+    ("{broken", "invalid JSON: Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "record must be a JSON object"),
+    ('"text"', "record must be a JSON object"),
+    (_record(pub_id=_DROP), "pub_id must be a non-empty string"),
+    (_record(pub_id=""), "pub_id must be a non-empty string"),
+    (_record(pub_id="  \t"), "pub_id must be a non-empty string"),
+    (_record(pub_id=7), "pub_id must be a non-empty string"),
+    (_record(pub_id="", year="x", category=""), "pub_id must be a non-empty string"),
+    (_record(year="2012"), "year must be an integer"),
+    (_record(year=True), "year must be an integer"),
+    (_record(year=2012.0), "year must be an integer"),
+    (_record(year=_DROP), "year must be an integer"),
+    (_record(year="x", category=""), "year must be an integer"),
+    (_record(category=" "), "category must be a non-empty string"),
+    (_record(category=3), "category must be a non-empty string"),
+    (_record(category="", affiliations="A"), "category must be a non-empty string"),
+    (_record(affiliations="Uni-A"), _AFFILS),
+    (_record(affiliations=_DROP), _AFFILS),
+    (_record(affiliations=["Uni-A", 1]), _AFFILS),
+    (_record(affiliations=[["x"]]), _AFFILS),
+    (_record(affiliations=[{"a": 1}]), _AFFILS),
+    (_record(affiliations=["  ", 5]), _AFFILS),
+    (_record(affiliations=[1], references="x"), _AFFILS),
+    (_record(affiliations=[]), "affiliations must be non-empty"),
+    (_record(affiliations=["  ", "\t"]), "affiliations must be non-empty"),
+    (_record(affiliations=[" "], references="x"), "affiliations must be non-empty"),
+    (_record(references=_DROP), "references must be a list"),
+    (_record(references={"pub_id": "p1"}), "references must be a list"),
+    (_record(refs=["p1"]), "each reference must be an object"),
+    (_record(refs=[_ref(), None]), "each reference must be an object"),
+    (_record(refs=[_ref(pub_id=5)]), "reference pub_id must be a string or null"),
+    (_record(refs=[_ref(pub_id=["p1"])]), "reference pub_id must be a string or null"),
+    (_record(refs=[_ref(pub_id=5, affiliations="B")]), "reference pub_id must be a string or null"),
+    (_record(refs=[_ref(affiliations="B")]), _REF_AFFILS),
+    (_record(refs=[_ref(affiliations=_DROP)]), _REF_AFFILS),
+    (_record(refs=[_ref(affiliations=["B", None])]), _REF_AFFILS),
+    (_record(refs=[_ref(affiliations=[["x"]])]), _REF_AFFILS),
+    (_record(refs=[_ref(affiliations=[{"a": 1}])]), _REF_AFFILS),
+    (_record(refs=[_ref(), _ref(pub_id=None, affiliations=[2])]), _REF_AFFILS),
+    (_record(refs=[_ref(affiliations=[1]), "p1"]), _REF_AFFILS),
+    (_line("p1"), "duplicate pub_id 'p1' (first seen on line 1)"),
+    (_line(" p1 "), "duplicate pub_id 'p1' (first seen on line 1)"),
+]
+
+
+@pytest.mark.parametrize("line, message", PARSE_MESSAGES)
+def test_parse_issue_messages(line, message):
+    res = _parse([_line("p1"), line, _line("p9")])
+    assert [(i.line, i.message) for i in res.issues] == [(2, message)]
+    assert [r.pub_id for r in res.records] == ["p1", "p9"]
+    with pytest.raises(ParseError) as exc:
+        _parse([_line("p1"), line, _line("p9")], strict=True)
+    assert str(exc.value) == f"line 2: {message}"
+
+
+def test_parse_accepts_edge_cases_of_each_check():
+    res = _parse([
+        _record(pub_id="p1", refs=[]),
+        _record(pub_id="p2", refs=[_ref(pub_id=None, affiliations=[])]),
+        _record(pub_id="p3", refs=[_ref(affiliations=["  "])]),
+        _record(pub_id="p4", year=-5, affiliations=["A", "  "], extra={"x": 1}),
+    ])
+    assert not res.issues
+    assert [len(r.references) for r in res.records] == [0, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +356,19 @@ def test_build_ignores_references_outside_dataset():
     assert net.node_ids == ("a", "b")
 
 
+def test_build_matches_padded_reference_ids():
+    # record ids are trimmed at parse time, so reference ids must be too
+    res = _parse(
+        [
+            _line(" P1 ", affils=("A",)),
+            _line("p2", affils=("B",), refs=[(" P1 ", ("A",)), ("P1", ("A",)), ("P1\t", ("A",))]),
+        ]
+    )
+    net = build_network(res.records, {"a", "b"}, _profile())
+    assert net.total_weight == 3
+    assert [ref_id for ref_id, _affils in res.records[1].references] == ["P1", "P1", "P1"]
+
+
 def test_build_requires_retained_institutions():
     res = _parse([_line("p1")])
     with pytest.raises(InputError):
@@ -370,11 +475,22 @@ def test_fixture_total_weight_matches_brute_force(fixture_records, fixture_manif
     ids = {r.pub_id for r in fixture_records}
     total = 0
     for rec in fixture_records:
-        for ref in rec.references:
-            if ref.pub_id not in ids:
+        for ref_id, ref_affiliations in rec.references:
+            if ref_id not in ids:
                 continue
             for a in set(rec.affiliations) & retained:
-                for b in set(ref.affiliations) & retained:
+                for b in set(ref_affiliations) & retained:
                     if a != b:
                         total += 1
     assert total == fixture_manifest["total_weight"]
+
+
+def test_parsed_references_leave_the_cycle_collector(fixture_records):
+    # a collection untracks a tuple whose items are all untracked, so the
+    # affiliation tuples go in the first pass and the references by the
+    # second; a per-reference object would stay on the collector's lists
+    gc.collect()
+    gc.collect()
+    refs = [ref for rec in fixture_records for ref in rec.references]
+    assert refs and all(type(ref) is tuple for ref in refs)
+    assert not any(gc.is_tracked(ref) for ref in refs)
