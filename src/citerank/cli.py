@@ -53,7 +53,7 @@ class RunManifest:
     def write(self, out_dir: Path) -> None:
         payload = {
             "command": self.command,
-            "inputs": {k: str(v) for k, v in self.inputs.items() if v is not None},
+            "inputs": {k: str(v) for k, v in self.inputs.items()},
             "flags": self.flags,
             "outputs": sorted(self.outputs),
             "version": __version__,
@@ -176,7 +176,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_pagerank(args) -> int:
     edges = fileio.read_edge_list(_require_file(args.network))
-    nodes = fileio.read_institutions(_require_file(args.nodes)) if args.nodes else []
+    nodes = fileio.read_score_table(_require_file(args.nodes)).institutions if args.nodes else ()
     if not edges and not nodes:
         raise EmptyNetworkError("edge list is empty")
     net = network.CitationNetwork.from_edges(edges, keep_self_loops=args.self_loops, extra_nodes=nodes)
@@ -199,7 +199,7 @@ def _cmd_pagerank(args) -> int:
     fileio.write_ranking_csv(out / "ranking.csv", net.node_ids, result.scores, normalized)
     manifest = RunManifest(
         command="pagerank",
-        inputs={"network": args.network, "nodes": args.nodes},
+        inputs={"network": args.network},
         flags={
             "damping": args.damping,
             "tol": args.tol,
@@ -209,6 +209,8 @@ def _cmd_pagerank(args) -> int:
         },
         outputs=["ranking.csv"],
     )
+    if args.nodes:
+        manifest.inputs["nodes"] = args.nodes
     manifest.flags["iterations_used"] = result.iterations_used
     manifest.write(out)
     print(f"ranked {net.n_nodes} institutions in {result.iterations_used} iterations")

@@ -26,7 +26,6 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "write_nodes_csv",
-    "read_institutions",
     "write_distribution_csv",
     "write_ranking_csv",
     "read_score_table",
@@ -127,19 +126,6 @@ def write_nodes_csv(net: CitationNetwork, path, in_degree, centrality) -> None:
     order = sorted(range(net.n_nodes), key=net.node_ids.__getitem__)
     rows = ([net.node_ids[k], int(in_degree[k]), fmt(centrality[k])] for k in order)
     write_csv(path, ["institution", "in_degree", "degree_centrality"], rows)
-
-
-def read_institutions(path) -> list[str]:
-    """Institution ids from the first column of an `institution,...` CSV such as nodes.csv."""
-    rows = _read_rows(path)
-    if next(rows)[:1] != ["institution"]:
-        raise TableFormatError(f"{path}: expected header 'institution,...'")
-    ids = []
-    for line_no, (inst, *_rest) in rows:
-        if not inst:
-            raise TableFormatError(f"{path}:{line_no}: empty institution id")
-        ids.append(inst)
-    return ids
 
 
 def write_distribution_csv(pairs: Sequence[tuple[float, float]], path) -> None:

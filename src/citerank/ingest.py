@@ -139,26 +139,27 @@ class ParseResult:
     issues: list[ParseIssue]
 
 
-def _institutions(names, spellings: dict[str, str], what: str) -> tuple[str, ...]:
-    """Distinct canonical ids of a JSON affiliation list, in first-seen order.
-
-    `spellings` caches each raw spelling's id, so a spelling is trimmed and case-folded once.
-    """
+def _institutions(names, what: str) -> tuple[str, ...]:
+    """Distinct canonical ids of a JSON affiliation list, in first-seen order."""
     if not isinstance(names, list):
         raise ValueError(f"{what} must be a list of strings")
     ids: list[str] = []
     for name in names:
         if not isinstance(name, str):
             raise ValueError(f"{what} must be a list of strings")
-        canon = spellings.get(name)
-        if canon is None:
-            canon = spellings[name] = normalize_institution(name)
+        canon = normalize_institution(name)
         if canon and canon not in ids:
             ids.append(canon)
     return tuple(ids)
 
 
-def _parse_line(obj, spellings: dict[str, str]) -> PublicationRecord:
+def _parse_line(line: str) -> PublicationRecord:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer literal past the interpreter's digit limit
+        raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     pub_id = obj.get("pub_id")
@@ -170,7 +171,7 @@ def _parse_line(obj, spellings: dict[str, str]) -> PublicationRecord:
     category = obj.get("category")
     if not isinstance(category, str) or not category.strip():
         raise ValueError("category must be a non-empty string")
-    affiliations = _institutions(obj.get("affiliations"), spellings, "affiliations")
+    affiliations = _institutions(obj.get("affiliations"), "affiliations")
     if not affiliations:
         raise ValueError("affiliations must be non-empty")
     raw_refs = obj.get("references")
@@ -183,7 +184,7 @@ def _parse_line(obj, spellings: dict[str, str]) -> PublicationRecord:
         ref_id = ref.get("pub_id")
         if ref_id is not None and not isinstance(ref_id, str):
             raise ValueError("reference pub_id must be a string or null")
-        ref_affiliations = _institutions(ref.get("affiliations"), spellings, "reference affiliations")
+        ref_affiliations = _institutions(ref.get("affiliations"), "reference affiliations")
         references.append((ref_id if ref_id is None else ref_id.strip(), ref_affiliations))
     return PublicationRecord(pub_id.strip(), year, category.strip(), affiliations, tuple(references))
 
@@ -201,15 +202,12 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     records: list[PublicationRecord] = []
     issues: list[ParseIssue] = []
     first_line_of: dict[str, int] = {}
-    spellings: dict[str, str] = {}
 
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            record = _parse_line(json.loads(line), spellings)
-        except json.JSONDecodeError as exc:
-            message = f"invalid JSON: {exc.msg}"
+            record = _parse_line(line)
         except ValueError as exc:
             message = str(exc)
         else:

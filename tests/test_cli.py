@@ -249,6 +249,7 @@ def test_pagerank_with_nodes_ranks_what_the_library_ranks(tmp_path):
     # without --nodes the edge list alone sets the node set
     assert main(["pagerank", str(net_dir / "edges.csv"), "--out", str(tmp_path / "pr0")]) == 0
     assert len(_read_csv(tmp_path / "pr0" / "ranking.csv")) == 3
+    assert "nodes" not in json.loads((tmp_path / "pr0" / "manifest.json").read_text())["inputs"]
 
 
 def test_pagerank_with_nodes_ranks_a_network_without_edges(tmp_path):
@@ -262,7 +263,7 @@ def test_pagerank_with_nodes_ranks_a_network_without_edges(tmp_path):
 
 def test_pagerank_nodes_file_needs_institution_ids(tmp_path, cycle_edges, capsys):
     for text, message in [
-        ("name,x\na,1\n", "expected header 'institution,...'"),
+        ("name,x\na,1\n", "expected header 'institution,<column>,...'"),
         ("institution,x\na,1\n ,2\n", "empty institution id"),
     ]:
         nodes = tmp_path / "nodes.csv"

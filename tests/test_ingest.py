@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,16 @@ _REF_AFFILS = "reference affiliations must be a list of strings"
 # several rules, the first check in that order names it
 PARSE_MESSAGES = [
     ("{broken", "invalid JSON: Expecting property name enclosed in double quotes"),
+    # past the interpreter's int digit limit json.loads raises a plain ValueError
+    pytest.param(
+        '{"pub_id": "p2", "year": ' + "9" * 5000 + "}",
+        "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+        marks=pytest.mark.skipif(
+            getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+            reason="needs the default int digit limit",
+        ),
+    ),
     ("[1, 2]", "record must be a JSON object"),
     ('"text"', "record must be a JSON object"),
     (_record(pub_id=_DROP), "pub_id must be a non-empty string"),
