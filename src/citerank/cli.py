@@ -175,11 +175,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_pagerank(args) -> int:
-    edges = fileio.read_edge_list(_require_file(args.network))
+    sources, targets, weights = fileio.read_edge_list(_require_file(args.network))
     nodes = fileio.read_score_table(_require_file(args.nodes)).institutions if args.nodes else ()
-    if not edges and not nodes:
+    if not sources and not nodes:
         raise EmptyNetworkError("edge list is empty")
-    net = network.CitationNetwork.from_edges(edges, keep_self_loops=args.self_loops, extra_nodes=nodes)
+    net = network.CitationNetwork.from_edges(
+        sources, targets, weights, keep_self_loops=args.self_loops, extra_nodes=nodes
+    )
     cfg = PageRankConfig(
         damping=args.damping,
         tolerance=args.tol,

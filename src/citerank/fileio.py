@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = [
     "write_loadings_csv",
     "write_json",
 ]
+
+# edge-list rows per write: 4,096 raised the peak RSS of `build` by 0.2 MB on a
+# 16k-edge network, and 1,024 writes as fast
+_BLOCK_ROWS = 1024
 
 
 def fmt(x) -> str:
@@ -62,24 +67,57 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="
         out.writerows(rows)
 
 
-def _read_rows(path, width: int | None = None) -> Iterator:
-    """Yield the stripped header, then (file line number, stripped fields) per non-blank row.
+def _read_rows(
+    path, width: int | None = None
+) -> tuple[list[str], list[list[str]], Exception | None]:
+    """Read a CSV into its stripped header and one list of stripped fields per column.
 
-    Every row must have `width` fields, by default as many as the header.
+    Blank rows are skipped; every other row must have `width` fields, by
+    default as many as the header. Reading stops at the first row that has
+    another width or cannot be read, and that row's error is returned, not
+    raised: _check_rows reports a bad value on an earlier line first.
+    Rows go into one flat list as they are read, so no per-row object
+    outlives its row.
     """
+    unread = None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = [field.strip() for field in next(reader, [])]
-        yield header
         width = width or len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise TableFormatError(
-                    f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-                )
-            yield reader.line_num, [field.strip() for field in row]
+        fields: list[str] = []
+        extend = fields.extend
+        try:
+            for row in reader:
+                if len(row) == width:
+                    extend(row)
+                elif row:
+                    unread = TableFormatError(
+                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                    break
+        except (csv.Error, UnicodeDecodeError) as exc:
+            unread = exc
+    columns = [list(map(str.strip, islice(fields, k, None, width))) for k in range(width)]
+    return header, columns, unread
+
+
+def _check_rows(path, columns: list[list[str]], problem, unread: Exception | None) -> None:
+    """Raise the first error in file order, if there is one.
+
+    That is a TableFormatError, with its file line, for the first row for
+    which problem(*fields) returns a message, or else `unread`, the error
+    that stopped _read_rows.
+    """
+    for k, fields in enumerate(zip(*columns)):
+        message = problem(*fields)
+        if message:
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                next(reader, None)
+                next(islice(filter(None, reader), k, None))  # the k-th non-blank row
+                raise TableFormatError(f"{path}:{reader.line_num}: {message}")
+    if unread is not None:
+        raise unread
 
 
 # ---------------------------------------------------------------------------
@@ -87,38 +125,66 @@ def _read_rows(path, width: int | None = None) -> Iterator:
 # ---------------------------------------------------------------------------
 
 
-def read_edge_list(path) -> list[tuple[str, str, int]]:
-    """Read a `source,target,weight` CSV into edge triples."""
-    rows = _read_rows(path, width=3)
-    if next(rows)[:3] != ["source", "target", "weight"]:
+def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
+    try:
+        w = int(raw_w)
+    except ValueError:
+        return f"weight {raw_w!r} is not an integer"
+    if w <= 0:
+        return f"weight must be positive, got {w}"
+    if w > INT64_MAX:
+        return f"weight {w} is beyond the int64 range"
+    if not src or not dst:
+        return "empty institution id"
+    return None
+
+
+def read_edge_list(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Read a `source,target,weight` CSV into source ids, target ids and int64 weights."""
+    header, columns, unread = _read_rows(path, width=3)
+    if header[:3] != ["source", "target", "weight"]:
         raise TableFormatError(f"{path}: expected header 'source,target,weight'")
-    edges: list[tuple[str, str, int]] = []
-    for line_no, (src, dst, raw_w) in rows:
-        try:
-            w = int(raw_w)
-        except ValueError:
-            raise TableFormatError(f"{path}:{line_no}: weight {raw_w!r} is not an integer") from None
-        if w <= 0:
-            raise TableFormatError(f"{path}:{line_no}: weight must be positive, got {w}")
-        if w > INT64_MAX:
-            raise TableFormatError(f"{path}:{line_no}: weight {w} is beyond the int64 range")
-        if not src or not dst:
-            raise TableFormatError(f"{path}:{line_no}: empty institution id")
-        edges.append((src, dst, w))
-    return edges
+    sources, targets, raw_weights = columns
+    try:
+        weights = np.fromiter(map(int, raw_weights), dtype=np.int64, count=len(raw_weights))
+        valid = not (weights <= 0).any() and all(sources) and all(targets)
+    except (ValueError, OverflowError):  # not an integer, or beyond int64
+        valid = False
+    if not valid or unread is not None:
+        _check_rows(path, columns, _edge_problem, unread)
+    return sources, targets, weights
+
+
+def _csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as write_csv writes it inside a row, quoted where needed."""
+    out = csv.writer(SimpleNamespace(write=str))  # writerow returns what write returns: the row
+    # a lone empty field would be written as "", so write a second field and cut it off
+    return [out.writerow((value, ""))[:-3] for value in values]
 
 
 def write_edge_list(net: CitationNetwork, path) -> None:
-    """`source,target,weight` rows sorted by (source id, target id)."""
+    """`source,target,weight` rows sorted by (source id, target id).
+
+    Each id is quoted once, and rows are written in blocks, which keeps the
+    file byte-identical to write_csv's without a full-length list of rows.
+    """
     n = net.n_nodes
     rank = np.empty(n, dtype=np.int64)
     rank[sorted(range(n), key=net.node_ids.__getitem__)] = np.arange(n)
     order = np.argsort(rank[net.source] * n + rank[net.target])  # keys are distinct
-    ids = np.array(net.node_ids, dtype=object)
-    rows = zip(
-        ids[net.source[order]].tolist(), ids[net.target[order]].tolist(), net.weight[order].tolist()
-    )
-    write_csv(path, ["source", "target", "weight"], rows)
+    ids = np.array(_csv_fields(net.node_ids), dtype=object)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("source,target,weight\r\n")
+        for start in range(0, order.size, _BLOCK_ROWS):
+            block = order[start : start + _BLOCK_ROWS]
+            rows = map(
+                "{},{},{}".format,
+                ids[net.source[block]].tolist(),
+                ids[net.target[block]].tolist(),
+                net.weight[block].tolist(),
+            )
+            handle.write("\r\n".join(rows))
+            handle.write("\r\n")
 
 
 def write_nodes_csv(net: CitationNetwork, path, in_degree, centrality) -> None:
@@ -150,28 +216,35 @@ def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None
 
 def read_score_table(path) -> ScoreTable:
     """Read an `institution,<column>,...` CSV; every cell must be present."""
-    rows = _read_rows(path)
-    header = next(rows)
+    header, columns, unread = _read_rows(path)
     if len(header) < 2 or header[0] != "institution":
         raise TableFormatError(f"{path}: expected header 'institution,<column>,...'")
     names = header[1:]
     if len(set(names)) != len(names):
         raise TableFormatError(f"{path}: duplicate column names")
-    institutions: list[str] = []
-    values: list[list[float]] = [[] for _ in names]
-    for line_no, (inst, *cells) in rows:
+
+    def problem(inst, *cells):
         if not inst:
-            raise TableFormatError(f"{path}:{line_no}: empty institution id")
-        institutions.append(inst)
-        for name, column, cell in zip(names, values, cells):
+            return "empty institution id"
+        for name, cell in zip(names, cells):
             if not cell:
-                raise TableFormatError(f"{path}:{line_no}: missing value in column {name!r}")
+                return f"missing value in column {name!r}"
             try:
-                column.append(float(cell))
+                float(cell)
             except ValueError:
-                raise TableFormatError(
-                    f"{path}:{line_no}: bad number {cell!r} in column {name!r}"
-                ) from None
+                return f"bad number {cell!r} in column {name!r}"
+        return None
+
+    institutions, *cells = columns
+    try:
+        values = [
+            np.fromiter(map(float, column), dtype=np.float64, count=len(column)) for column in cells
+        ]
+        valid = all(institutions)
+    except ValueError:
+        valid = False
+    if not valid or unread is not None:
+        _check_rows(path, columns, problem, unread)
     try:
         return ScoreTable(tuple(institutions), dict(zip(names, values)))
     except InputError as exc:
@@ -183,24 +256,25 @@ def read_score_table(path) -> ScoreTable:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_row_problem(_label, *cells) -> str | None:
+    try:
+        [float(cell) for cell in cells]
+    except ValueError:
+        return "non-numeric matrix entry"
+    return None
+
+
 def read_correlation_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a labeled square matrix: header `variable,<v1>,...`, one row per variable."""
-    rows = _read_rows(path)
-    header = next(rows)
+    header, columns, unread = _read_rows(path)
     if len(header) < 2 or header[0] != "variable":
         raise TableFormatError(f"{path}: expected header 'variable,<name>,...'")
     names = tuple(header[1:])
-    matrix: list[list[float]] = []
-    labels: list[str] = []
-    for line_no, (label, *cells) in rows:
-        labels.append(label)
-        try:
-            matrix.append([float(cell) for cell in cells])
-        except ValueError:
-            raise TableFormatError(f"{path}:{line_no}: non-numeric matrix entry") from None
+    _check_rows(path, columns, _matrix_row_problem, unread)  # a matrix has few rows
+    labels, *cells = columns
     if tuple(labels) != names:
         raise TableFormatError(f"{path}: row labels must match column order {names}")
-    return np.array(matrix), names
+    return np.array([[float(cell) for cell in row] for row in zip(*cells)]), names
 
 
 def _labeled_matrix_csv(path, header: list[str], labels: Sequence[str], matrix) -> None:

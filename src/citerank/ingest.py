@@ -160,6 +160,8 @@ def _parse_line(line: str) -> PublicationRecord:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
     except ValueError as exc:  # e.g. an integer literal past the interpreter's digit limit
         raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError as exc:  # nested deeper than the recursion limit
+        raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     pub_id = obj.get("pub_id")

@@ -9,7 +9,7 @@ citing institutions, not citation volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,28 +156,26 @@ class CitationNetwork:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[tuple[str, str, int]],
+        sources: Sequence[str],
+        targets: Sequence[str],
+        weights,
         subject: str = "",
         keep_self_loops: bool = False,
         extra_nodes: Iterable[str] = (),
     ) -> "CitationNetwork":
-        """Build from (source id, target id, weight) triples.
+        """Build from edge columns: sources[k] cites targets[k] weights[k] times.
 
         Repeated (source, target) pairs accumulate. Node order is the sorted
         union of all endpoint ids and extra_nodes, so the result does not
         depend on edge order.
         """
-        edges = list(edges)
-        sources = [e[0] for e in edges]
-        targets = [e[1] for e in edges]
         ordered = tuple(sorted(set(sources).union(targets, extra_nodes)))
         index = dict(zip(ordered, range(len(ordered))))
-        m = len(sources)
         return cls.build(
             ordered,
-            np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=m),
-            np.fromiter(map(index.__getitem__, targets), dtype=np.int64, count=m),
-            [e[2] for e in edges],
+            np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=len(sources)),
+            np.fromiter(map(index.__getitem__, targets), dtype=np.int64, count=len(targets)),
+            weights,
             subject,
             keep_self_loops,
         )

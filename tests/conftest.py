@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from citerank import CitationNetwork, DanglingPolicy, PageRankConfig
-from citerank.errors import CiteRankError, EmptyNetworkError
+from citerank.errors import CiteRankError, EmptyNetworkError, TableFormatError
+from citerank.network import INT64_MAX
 
 ORACLE_MAX_NODES = 200
 
@@ -67,12 +70,12 @@ def pagerank_oracle(net: CitationNetwork, cfg: PageRankConfig | None = None) -> 
 @pytest.fixture
 def three_node_net() -> CitationNetwork:
     """A -> B, C -> B, B -> C with unit weights."""
-    return CitationNetwork.from_edges([("a", "b", 1), ("c", "b", 1), ("b", "c", 1)])
+    return CitationNetwork.from_edges(["a", "c", "b"], ["b", "b", "c"], [1, 1, 1])
 
 
 @pytest.fixture
 def cycle3() -> CitationNetwork:
-    return CitationNetwork.from_edges([("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
+    return CitationNetwork.from_edges(["a", "b", "c"], ["b", "c", "a"], [1, 1, 1])
 
 
 def make_random_network(rng: np.random.Generator, n: int, edge_prob: float = 0.2,
@@ -87,3 +90,67 @@ def make_random_network(rng: np.random.Generator, n: int, edge_prob: float = 0.2
                 weights[(i, j)] = int(rng.integers(1, max_weight + 1))
     ids = [f"n{i:03d}" for i in range(n)]
     return build_from_dict(ids, weights)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise edge-list references: fileio and from_edges work on columns and
+# must give the same bytes, networks and errors as these per-row versions
+# ---------------------------------------------------------------------------
+
+
+def columns(edges) -> tuple[list, list, list]:
+    """The (sources, targets, weights) columns of (source, target, weight) triples."""
+    return [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges]
+
+
+def reference_from_edges(edges, subject: str = "", keep_self_loops: bool = False,
+                         extra_nodes=()) -> CitationNetwork:
+    """CitationNetwork from (source id, target id, weight) triples, one edge at a time."""
+    sources, targets, weights = columns(list(edges))
+    ordered = tuple(sorted(set(sources).union(targets, extra_nodes)))
+    index = dict(zip(ordered, range(len(ordered))))
+    return CitationNetwork.build(
+        ordered, [index[s] for s in sources], [index[t] for t in targets], weights, subject,
+        keep_self_loops,
+    )
+
+
+def reference_read_edge_list(path) -> list[tuple[str, str, int]]:
+    """Read a `source,target,weight` CSV row by row into edge triples."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        if [field.strip() for field in next(reader, [])][:3] != ["source", "target", "weight"]:
+            raise TableFormatError(f"{path}: expected header 'source,target,weight'")
+        edges = []
+        for row in reader:
+            if not row:
+                continue
+            line_no = reader.line_num
+            if len(row) != 3:
+                raise TableFormatError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
+            src, dst, raw_w = (field.strip() for field in row)
+            try:
+                w = int(raw_w)
+            except ValueError:
+                raise TableFormatError(f"{path}:{line_no}: weight {raw_w!r} is not an integer") from None
+            if w <= 0:
+                raise TableFormatError(f"{path}:{line_no}: weight must be positive, got {w}")
+            if w > INT64_MAX:
+                raise TableFormatError(f"{path}:{line_no}: weight {w} is beyond the int64 range")
+            if not src or not dst:
+                raise TableFormatError(f"{path}:{line_no}: empty institution id")
+            edges.append((src, dst, w))
+    return edges
+
+
+def reference_write_edge_list(net: CitationNetwork, path) -> None:
+    """Write `source,target,weight` rows sorted by (source id, target id) with csv.writer."""
+    ids = net.node_ids
+    rows = sorted(
+        (ids[i], ids[j], w)
+        for i, j, w in zip(net.source.tolist(), net.target.tolist(), net.weight.tolist())
+    )
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        out = csv.writer(handle)
+        out.writerow(["source", "target", "weight"])
+        out.writerows(rows)

@@ -142,7 +142,7 @@ def test_criterion_3_pagerank_invariants():
     detail.append("d=0 uniform")
 
     # directed 3-cycle is exactly uniform
-    cycle = CitationNetwork.from_edges([("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
+    cycle = CitationNetwork.from_edges(["a", "b", "c"], ["b", "c", "a"], [1, 1, 1])
     res = pagerank(cycle)
     ok &= bool(np.allclose(res.scores, 1 / 3, rtol=0, atol=1e-14))
     detail.append("3-cycle")

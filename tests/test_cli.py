@@ -69,6 +69,21 @@ def test_build_empty_input_fails_with_no_records(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_build_reports_too_deeply_nested_line_as_parse_issue(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(RECORDS.read_text() + "[" * 100_000 + "\n")
+    line_no = len(RECORDS.read_text().splitlines()) + 1
+    rc = main(["build", str(path), "--subject", "TEL", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    issues = _read_csv(tmp_path / "o" / "parse_issues.csv")
+    assert [row[0] for row in issues[1:]] == [str(line_no)]
+    assert issues[1][1].startswith("invalid JSON: maximum recursion depth exceeded")
+    capsys.readouterr()
+    rc = main(["build", str(path), "--subject", "TEL", "--strict", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert f"line {line_no}: invalid JSON: maximum recursion depth" in capsys.readouterr().err
+
+
 def test_build_strict_mode_names_bad_line(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     good = RECORDS.read_text().splitlines()[0]

@@ -7,6 +7,7 @@ import pytest
 
 from citerank import CitationNetwork, ScoreTable
 from citerank.errors import TableFormatError
+from citerank.network import INT64_MAX
 from citerank.fileio import (
     fmt,
     read_correlation_csv,
@@ -17,7 +18,13 @@ from citerank.fileio import (
     write_edge_list,
 )
 
-from conftest import weight_dict
+from conftest import (
+    columns,
+    reference_from_edges,
+    reference_read_edge_list,
+    reference_write_edge_list,
+    weight_dict,
+)
 
 
 def test_fmt_15_significant_digits():
@@ -27,10 +34,10 @@ def test_fmt_15_significant_digits():
 
 
 def test_edge_list_round_trip(tmp_path):
-    net = CitationNetwork.from_edges([("b", "a", 2), ("a", "b", 7), ("a", "c", 1)])
+    net = CitationNetwork.from_edges(["b", "a", "a"], ["a", "b", "c"], [2, 7, 1])
     path = tmp_path / "edges.csv"
     write_edge_list(net, path)
-    back = CitationNetwork.from_edges(read_edge_list(path))
+    back = CitationNetwork.from_edges(*read_edge_list(path))
     assert back.node_ids == net.node_ids
     assert weight_dict(back) == weight_dict(net)
 
@@ -69,12 +76,12 @@ def test_from_edges_ignores_row_order(tmp_path):
     rows += rows[:1500]  # repeated rows accumulate
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    nets = [CitationNetwork.from_edges(r) for r in (rows, shuffled)]
+    nets = [CitationNetwork.from_edges(*columns(r)) for r in (rows, shuffled)]
     for name in ("source", "target", "weight"):
         assert np.array_equal(getattr(nets[0], name), getattr(nets[1], name))
     assert nets[0].node_ids == nets[1].node_ids
     assert nets[0] == nets[1]
-    assert nets[0] != CitationNetwork.from_edges(rows[1:])
+    assert nets[0] != CitationNetwork.from_edges(*columns(rows[1:]))
     written = []
     for k, net in enumerate(nets):
         write_edge_list(net, tmp_path / f"edges{k}.csv")
@@ -96,6 +103,114 @@ def test_edge_list_rows_sorted_by_id_with_csv_quoting(tmp_path):
     out.writerow(["source", "target", "weight"])
     out.writerows(sorted((ids[i], ids[j], x) for (i, j), x in weight_dict(net).items()))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def _edge_list_outcome(read, path):
+    """What a reader makes of a file: its network, or its error message."""
+    try:
+        return read(path)
+    except TableFormatError as exc:
+        return str(exc)
+
+
+def test_edge_list_columns_match_row_wise_reference(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    plain = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=6)
+    awkward = st.sampled_from(
+        ["", "a,b", 'say "hi"', "a\rb", "a\nb", "a\r\nb", "\r\n", " pad", "pad ", " pad ",
+         "Zürich", "東京大学", "x", "x ", ","]
+    )
+    ids = st.lists(st.one_of(awkward, plain), min_size=1, max_size=8, unique=True)
+    write_path, ref_path = tmp_path / "edges.csv", tmp_path / "reference.csv"
+
+    def read_columns(path):
+        return CitationNetwork.from_edges(*read_edge_list(path), keep_self_loops=True)
+
+    def read_rows(path):
+        return reference_from_edges(reference_read_edge_list(path), keep_self_loops=True)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(ids, st.data())
+    def check(node_ids, data):
+        n = len(node_ids)
+        index = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=20))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(pairs), max_size=len(pairs)))
+        if weights:  # one weight as large as the int64 total allows
+            big = data.draw(st.integers(1, INT64_MAX))
+            weights[0] = max(1, min(big, INT64_MAX - sum(weights[1:])))
+        net = CitationNetwork.build(
+            node_ids, [i for i, _ in pairs], [j for _, j in pairs], weights, keep_self_loops=True
+        )
+        write_edge_list(net, write_path)
+        reference_write_edge_list(net, ref_path)
+        assert write_path.read_bytes() == ref_path.read_bytes()
+        outcome = _edge_list_outcome(read_columns, write_path)
+        assert outcome == _edge_list_outcome(read_rows, write_path)
+
+    check()
+
+
+GOOD_ROWS = 'source,target,weight\n"a\nb",c,1\n\n'  # a quoted two-line field, then a blank line
+
+
+@pytest.mark.parametrize(
+    "bad_value, message",
+    [
+        ("x,y,zero", "weight 'zero' is not an integer"),
+        ("x,y,0", "weight must be positive, got 0"),
+        ("x,y,-9223372036854775809", "weight must be positive, got -9223372036854775809"),
+        ("x,y,9223372036854775808", "weight 9223372036854775808 is beyond the int64 range"),
+        ("x, ,2", "empty institution id"),
+    ],
+)
+def test_edge_list_reports_first_bad_row_in_file_order(tmp_path, bad_value, message):
+    path = tmp_path / "edges.csv"
+    for rows, expected in (
+        ([bad_value, "q,r,1,2"], f"edges.csv:6: {message}"),
+        (["q,r,1,2", bad_value], "edges.csv:6: expected 3 fields, got 4"),
+    ):
+        path.write_text(GOOD_ROWS + "\n".join(["p,q,1", "\n".join(rows), "y,z,zero"]) + "\n")
+        for read in (read_edge_list, reference_read_edge_list):
+            with pytest.raises(TableFormatError) as exc:
+                read(path)
+            assert str(exc.value).endswith(expected)
+
+
+@pytest.mark.parametrize(
+    "read, header, bad_value, message",
+    [
+        (read_score_table, "institution,a,b", "i2,1.0,", "missing value in column 'b'"),
+        (read_correlation_csv, "variable,x,y", "y,0.2,one", "non-numeric matrix entry"),
+    ],
+)
+def test_tables_report_first_bad_row_in_file_order(tmp_path, read, header, bad_value, message):
+    path = tmp_path / "table.csv"
+    head = f'{header}\n"i\n1",1.0,2.0\n'  # a quoted two-line field first
+    path.write_text(head + f"{bad_value}\ni3,1.0\n")
+    with pytest.raises(TableFormatError, match=rf"table\.csv:4: {message}$"):
+        read(path)
+    path.write_text(head + f"i3,1.0\n{bad_value}\n")
+    with pytest.raises(TableFormatError, match=r"table\.csv:4: expected 3 fields, got 2$"):
+        read(path)
+
+
+def test_edge_list_round_trip_at_benchmark_scale(tmp_path):
+    rng = np.random.default_rng(10**5)
+    awkward = ["a,b", 'say "hi"', "a\nb", "Zürich", "東京"]
+    ids = sorted([f"inst {k:05d}" for k in range(3000)] + awkward)
+    m = 100_000
+    net = CitationNetwork.build(
+        ids, rng.integers(0, len(ids), m), rng.integers(0, len(ids), m), rng.integers(1, 50, m)
+    )
+    path, ref_path = tmp_path / "edges.csv", tmp_path / "reference.csv"
+    write_edge_list(net, path)
+    reference_write_edge_list(net, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    sources, targets, weights = read_edge_list(path)
+    assert len(sources) == net.n_edges > 95_000
+    assert CitationNetwork.from_edges(sources, targets, weights) == net
 
 
 def test_score_table_round_trip(tmp_path):

@@ -132,6 +132,11 @@ PARSE_MESSAGES = [
             reason="needs the default int digit limit",
         ),
     ),
+    # nested past the recursion limit json.loads raises RecursionError
+    (
+        "[" * 100_000,
+        "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
     ("[1, 2]", "record must be a JSON object"),
     ('"text"', "record must be a JSON object"),
     (_record(pub_id=_DROP), "pub_id must be a non-empty string"),

@@ -4,7 +4,14 @@ import pytest
 from citerank import CitationNetwork, degree_report, in_degree
 from citerank.errors import DegenerateNetworkError
 
-from conftest import build_from_dict, dense, make_random_network, weight_dict
+from conftest import (
+    build_from_dict,
+    columns,
+    dense,
+    make_random_network,
+    reference_from_edges,
+    weight_dict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +48,7 @@ def test_self_loops_dropped_by_default_and_kept_on_request():
 
 
 def test_from_edges_accumulates_and_sorts_nodes():
-    net = CitationNetwork.from_edges(
-        [("z", "m", 2), ("z", "m", 3), ("a", "z", 1)], extra_nodes=["q"]
-    )
+    net = CitationNetwork.from_edges(["z", "z", "a"], ["m", "m", "z"], [2, 3, 1], extra_nodes=["q"])
     assert net.node_ids == ("a", "m", "q", "z")
     z, m = net.node_ids.index("z"), net.node_ids.index("m")
     assert weight_dict(net)[(z, m)] == 5
@@ -60,9 +65,9 @@ def test_from_edges_ignores_edge_order():
     @hypothesis.given(edge_lists, st.booleans(), st.data())
     def check(edges, keep_self_loops, data):
         shuffled = data.draw(st.permutations(edges))
-        assert CitationNetwork.from_edges(shuffled, keep_self_loops=keep_self_loops) == (
-            CitationNetwork.from_edges(edges, keep_self_loops=keep_self_loops)
-        )
+        net = CitationNetwork.from_edges(*columns(shuffled), keep_self_loops=keep_self_loops)
+        assert net == CitationNetwork.from_edges(*columns(edges), keep_self_loops=keep_self_loops)
+        assert net == reference_from_edges(edges, keep_self_loops=keep_self_loops)
 
     check()
 
@@ -86,7 +91,7 @@ def test_build_matches_dict_accumulation():
 
 
 def test_edge_arrays_are_read_only():
-    net = CitationNetwork.from_edges([("a", "b", 2), ("b", "c", 1)])
+    net = CitationNetwork.from_edges(["a", "b"], ["b", "c"], [2, 1])
     for arr in (net.source, net.target, net.weight):
         assert arr.dtype == np.int64
         with pytest.raises(ValueError):
@@ -134,8 +139,7 @@ def test_weights_beyond_int64_are_rejected():
 
 
 def test_in_degree_star():
-    edges = [(f"s{i}", "hub", 1) for i in range(4)]
-    net = CitationNetwork.from_edges(edges)
+    net = CitationNetwork.from_edges([f"s{i}" for i in range(4)], ["hub"] * 4, [1] * 4)
     assert in_degree(net)[net.node_ids.index("hub")] == 4
 
 
@@ -150,7 +154,7 @@ def test_in_degree_three_node_fixture(three_node_net):
 
 
 def test_in_degree_counts_citers_not_weight():
-    net = CitationNetwork.from_edges([("a", "b", 50)])
+    net = CitationNetwork.from_edges(["a"], ["b"], [50])
     assert in_degree(net)[net.node_ids.index("b")] == 1
 
 
@@ -180,8 +184,7 @@ def test_in_degree_matches_brute_force_double_loop():
 
 
 def test_centrality_bound_attained_iff_cited_by_all():
-    edges = [(f"s{i}", "hub", 1) for i in range(5)]
-    net = CitationNetwork.from_edges(edges)
+    net = CitationNetwork.from_edges([f"s{i}" for i in range(5)], ["hub"] * 5, [1] * 5)
     c = degree_report(net).degree_centrality
     hub = net.node_ids.index("hub")
     assert c[hub] == 1.0
@@ -251,7 +254,7 @@ def test_summary_empty_network():
 
 
 def test_summary_sums_weights():
-    assert CitationNetwork.from_edges([("a", "b", 7)]).total_weight == 7
+    assert CitationNetwork.from_edges(["a"], ["b"], [7]).total_weight == 7
 
 
 def test_degree_report_bundles_consistent_views(three_node_net):

@@ -50,7 +50,7 @@ def share_of(trans, source: int, target: int) -> float:
 
 
 def test_normalize_single_edge_flags_target_dangling():
-    net = CitationNetwork.from_edges([("a", "b", 7)])
+    net = CitationNetwork.from_edges(["a"], ["b"], [7])
     trans = normalize_weights(net)
     a, b = net.node_ids.index("a"), net.node_ids.index("b")
     assert share_of(trans, a, b) == 1.0
@@ -59,7 +59,7 @@ def test_normalize_single_edge_flags_target_dangling():
 
 
 def test_normalize_proportional_split():
-    net = CitationNetwork.from_edges([("a", "b", 3), ("a", "c", 1)])
+    net = CitationNetwork.from_edges(["a", "a"], ["b", "c"], [3, 1])
     trans = normalize_weights(net)
     a = net.node_ids.index("a")
     assert share_of(trans, a, net.node_ids.index("b")) == 0.75
@@ -103,7 +103,7 @@ def test_zero_damping_gives_uniform():
 
 
 def test_two_node_chain_matches_dense_solution():
-    net = CitationNetwork.from_edges([("a", "b", 1)])
+    net = CitationNetwork.from_edges(["a"], ["b"], [1])
     cfg = PageRankConfig(damping=0.85)
     res = pagerank(net, cfg)
     oracle = pagerank_oracle(net, cfg)
@@ -160,7 +160,7 @@ def test_scores_sum_to_one_and_respect_floor():
 
 
 def test_teleport_only_policy_leaks_dangling_mass():
-    net = CitationNetwork.from_edges([("a", "b", 1)])  # b is dangling
+    net = CitationNetwork.from_edges(["a"], ["b"], [1])  # b is dangling
     cfg = PageRankConfig(dangling_policy=DanglingPolicy.TELEPORT)
     res = pagerank(net, cfg)
     assert res.converged
