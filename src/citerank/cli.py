@@ -25,20 +25,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, fileio, ingest, network, rankstats, scoring, synthnet
-from .errors import CiteRankError, EmptyNetworkError, InputError, MissingColumnError
+from .errors import CiteRankError, EmptyNetworkError, InputError, MissingColumnError, NumericError
 from .pagerank import DanglingPolicy, PageRankConfig, pagerank
 
 PROFILE_ENV_VAR = "CITERANK_PROFILES"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; we reserve 2 for bugs
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 @dataclass
@@ -120,25 +116,19 @@ def _cmd_build(args) -> int:
         manifest.outputs.append("parse_issues.csv")
         print(f"skipped {len(parsed.issues)} malformed line(s); see parse_issues.csv")
     if not parsed.records:
-        print("error: no records parsed from input", file=sys.stderr)
-        return 1
+        raise InputError("no records parsed from input")
 
     records = ingest.filter_records(parsed.records, profile)
     if not records:
-        print(
-            f"error: no records match subject {profile.name!r} "
-            f"(category {profile.category!r}, years {profile.year_range})",
-            file=sys.stderr,
+        raise InputError(
+            f"no records match subject {profile.name!r} "
+            f"(category {profile.category!r}, years {profile.year_range})"
         )
-        return 1
     retained = ingest.apply_threshold(records, profile)
     if not retained:
-        print(
-            f"error: no institution reaches the publication threshold "
-            f"{profile.publication_threshold}",
-            file=sys.stderr,
+        raise InputError(
+            f"no institution reaches the publication threshold {profile.publication_threshold}"
         )
-        return 1
     net = ingest.build_network(records, retained, profile, keep_self_loops=args.self_loops)
 
     report = network.degree_report(net)
@@ -190,12 +180,10 @@ def _cmd_pagerank(args) -> int:
     )
     result = pagerank(net, cfg)
     if not result.converged:
-        print(
-            f"error: PageRank did not converge in {cfg.max_iterations} iterations "
-            f"(last delta {result.final_delta:.3e}); raise --max-iter or --tol",
-            file=sys.stderr,
+        raise NumericError(
+            f"PageRank did not converge in {cfg.max_iterations} iterations "
+            f"(last delta {result.final_delta:.3e}); raise --max-iter or --tol"
         )
-        return 1
     normalized = scoring.normalize_pagerank(result)
     out = _prepare_out(args.out)
     fileio.write_ranking_csv(out / "ranking.csv", net.node_ids, result.scores, normalized)
@@ -433,9 +421,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (CiteRankError, OSError, UnicodeDecodeError) as exc:
         # an input file that is not UTF-8 is a user error; any other ValueError is a bug
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ class EmptyNetworkError(CiteRankError):
 
 
 class NumericError(CiteRankError):
-    """A solver produced a non-finite intermediate value."""
+    """A solver produced a non-finite value or did not converge."""
 
 
 class ScoringError(CiteRankError):

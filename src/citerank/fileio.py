@@ -67,23 +67,23 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="
         out.writerows(rows)
 
 
-def _read_rows(
-    path, width: int | None = None
-) -> tuple[list[str], list[list[str]], Exception | None]:
+def _read_rows(path) -> tuple[list[str], list[list[str]], Exception | None]:
     """Read a CSV into its stripped header and one list of stripped fields per column.
 
-    Blank rows are skipped; every other row must have `width` fields, by
-    default as many as the header. Reading stops at the first row that has
-    another width or cannot be read, and that row's error is returned, not
-    raised: _check_rows reports a bad value on an earlier line first.
-    Rows go into one flat list as they are read, so no per-row object
-    outlives its row.
+    Blank rows are skipped; every other row must have as many fields as the
+    header. Reading stops at the first row that has another width or cannot
+    be read, and that row's error is returned, not raised: _check_rows
+    reports a bad value on an earlier line first. Rows go into one flat list
+    as they are read, so no per-row object outlives its row.
     """
     unread = None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = [field.strip() for field in next(reader, [])]
-        width = width or len(header)
+        try:
+            header = [field.strip() for field in next(reader, [])]
+        except csv.Error as exc:  # a field past csv.field_size_limit()
+            raise TableFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        width = len(header)
         fields: list[str] = []
         extend = fields.extend
         try:
@@ -95,7 +95,9 @@ def _read_rows(
                         f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
                     )
                     break
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:
+            unread = TableFormatError(f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
             unread = exc
     columns = [list(map(str.strip, islice(fields, k, None, width))) for k in range(width)]
     return header, columns, unread
@@ -141,8 +143,8 @@ def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
 
 def read_edge_list(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a `source,target,weight` CSV into source ids, target ids and int64 weights."""
-    header, columns, unread = _read_rows(path, width=3)
-    if header[:3] != ["source", "target", "weight"]:
+    header, columns, unread = _read_rows(path)
+    if header != ["source", "target", "weight"]:
         raise TableFormatError(f"{path}: expected header 'source,target,weight'")
     sources, targets, raw_weights = columns
     try:

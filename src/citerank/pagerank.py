@@ -9,6 +9,12 @@ institution's outgoing citation weights to sum to 1 (score flows from the
 citing institution to the cited one). Institutions with no outgoing
 citations are dangling; how their probability mass is handled is a policy
 choice (see DanglingPolicy).
+
+Each iteration is one weighted np.bincount over the network's own edge
+arrays. np.bincount adds each bin's terms in input order, and a
+CitationNetwork's edges are sorted by (source, target), so every target's
+terms are summed in ascending source order: the order of a row of the CSR
+matrix T, which keeps the scores bit-identical to a CSR power iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ __all__ = [
     "DanglingPolicy",
     "PageRankConfig",
     "PageRankResult",
-    "TransitionMatrix",
     "normalize_weights",
     "pagerank",
 ]
@@ -75,31 +80,16 @@ class PageRankResult:
     final_delta: float
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Column-stochastic transition structure of a network, as edge arrays.
+def normalize_weights(net: CitationNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's share of its source's out-weight, and the dangling-node mask.
 
-    Edge k moves the fraction share[k] of source[k]'s score to target[k];
-    the shares of each non-dangling source sum to 1. Edges are sorted by
-    (target, source), so summing them in order per target adds the terms of
-    each row of the matrix in ascending column order.
+    Edge k moves the fraction share[k] of net.source[k]'s score to
+    net.target[k]; the shares of each non-dangling source sum to 1.
     """
-
-    target: np.ndarray
-    source: np.ndarray
-    share: np.ndarray
-    dangling: np.ndarray
-
-
-def normalize_weights(net: CitationNetwork) -> TransitionMatrix:
-    """Normalize each node's outgoing weights to sum to 1, flag dangling nodes."""
-    w = net.weight.astype(np.float64)
-    out_sum = np.bincount(net.source, weights=w, minlength=net.n_nodes)
-    order = np.argsort(net.target * net.n_nodes + net.source)  # by (target, source); keys are distinct
-    src = net.source[order]
-    return TransitionMatrix(
-        target=net.target[order], source=src, share=w[order] / out_sum[src], dangling=out_sum == 0.0
-    )
+    share = net.weight.astype(np.float64)
+    out_sum = np.bincount(net.source, weights=share, minlength=net.n_nodes)
+    share /= out_sum[net.source]
+    return share, out_sum == 0.0
 
 
 def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRankResult:
@@ -116,7 +106,7 @@ def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRan
     n = net.n_nodes
     if n == 0:
         raise EmptyNetworkError("cannot compute PageRank of an empty network")
-    trans = normalize_weights(net)
+    share, dangling = normalize_weights(net)
     d = cfg.damping
     teleport = (1.0 - d) / n
     uniform_policy = cfg.dangling_policy is DanglingPolicy.UNIFORM
@@ -125,10 +115,10 @@ def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRan
     delta = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        flow = np.bincount(trans.target, weights=trans.share * pi[trans.source], minlength=n)
+        flow = np.bincount(net.target, weights=share * pi[net.source], minlength=n)
         flow = flow.astype(np.float64, copy=False)  # int64 when there are no edges
         if uniform_policy:
-            flow += pi[trans.dangling].sum() / n
+            flow += pi[dangling].sum() / n
         new_pi = teleport + d * flow
         if not np.all(np.isfinite(new_pi)):
             raise NumericError("PageRank iteration produced a non-finite value")

@@ -230,6 +230,22 @@ def test_pagerank_weights_beyond_int64_exit_one(tmp_path, capsys, rows, message)
     assert not (out / "ranking.csv").exists()
 
 
+def test_pagerank_field_past_the_csv_limit_names_its_line(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,weight\na,b,1\n\n" + f"b,{'x' * 200_000},1\n")
+    assert main(["pagerank", str(edges), "--out", str(tmp_path / "pr")]) == 1
+    err = capsys.readouterr().err
+    assert f"{edges}:4: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_pagerank_header_must_name_exactly_three_columns(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,weight,note\na,b,1\nb,a,2\n")
+    assert main(["pagerank", str(edges), "--out", str(tmp_path / "pr")]) == 1
+    assert f"error: {edges}: expected header 'source,target,weight'\n" == capsys.readouterr().err
+
+
 def test_pagerank_bad_damping_exits_one(cycle_edges, tmp_path, capsys):
     rc = main(["pagerank", str(cycle_edges), "--damping", "1.5", "--out", str(tmp_path / "pr")])
     assert rc == 1
@@ -369,6 +385,18 @@ def test_compare_missing_value_rejected(tmp_path, capsys):
     rc = main(["compare", str(path), "--col-a", "a", "--col-b", "b", "--out", str(tmp_path / "c")])
     assert rc == 1
     assert "missing value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["compare", "--col-a", "a", "--col-b", "b"], ["pca", "--retain", "1", "--table"]]
+)
+def test_score_table_header_past_the_csv_limit_exits_one(tmp_path, capsys, command):
+    table = tmp_path / "table.csv"
+    table.write_text(f"institution,a,b,{'x' * 200_000}\ni1,1,2,3\ni2,2,1,3\ni3,3,3,1\n")
+    assert main([*command, str(table), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{table}:1: field larger than field limit" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +545,30 @@ def test_synth_bad_parameters_exit_one(tmp_path, capsys, flags, message):
 
 def test_unknown_flag_exits_one(capsys):
     assert main(["pagerank", "--bogus"]) == 1
+
+
+def test_user_errors_print_one_line_and_exit_one(tmp_path, capsys):
+    empty, off_subject = tmp_path / "empty.jsonl", tmp_path / "off.jsonl"
+    empty.write_text("")
+    off_subject.write_text(json.dumps({"pub_id": "p1", "year": 2012, "category": "Physics",
+                                       "affiliations": ["A"], "references": []}) + "\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,weight\na,b,1\nb,a,2\na,c,1\nc,a,3\n")
+    out = str(tmp_path / "o")
+    for argv, message in [
+        (["build", empty, "--subject", "TEL", "--out", out], "no records parsed from input"),
+        (["build", off_subject, "--subject", "TEL", "--out", out],
+         "no records match subject 'TEL' (category 'Telecommunications', years (2010, 2014))"),
+        (["build", RECORDS, "--subject", "TEL", "--threshold", "99", "--out", out],
+         "no institution reaches the publication threshold 99"),
+        (["pagerank", edges, "--max-iter", "2", "--out", out],
+         "PageRank did not converge in 2 iterations (last delta 4.817e-01); raise --max-iter or --tol"),
+        (["pagerank", edges, "--damping", "x", "--out", out],
+         "argument --damping: invalid float value: 'x'"),
+        (["pagerank"], "the following arguments are required: network, --out"),
+    ]:
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_internal_error_exits_two(tmp_path, monkeypatch, capsys):

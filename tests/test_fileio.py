@@ -196,6 +196,14 @@ def test_tables_report_first_bad_row_in_file_order(tmp_path, read, header, bad_v
         read(path)
 
 
+def test_bad_value_is_reported_before_a_later_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "edges.csv"
+    huge = "x" * (csv.field_size_limit() + 1)
+    path.write_text(f"source,target,weight\na,b,zero\n\nb,{huge},1\n")
+    with pytest.raises(TableFormatError, match=r"edges\.csv:2: weight 'zero' is not an integer$"):
+        read_edge_list(path)
+
+
 def test_edge_list_round_trip_at_benchmark_scale(tmp_path):
     rng = np.random.default_rng(10**5)
     awkward = ["a,b", 'say "hi"', "a\nb", "Zürich", "東京"]

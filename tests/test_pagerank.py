@@ -43,41 +43,42 @@ def test_config_accepts_policy_string():
 # ---------------------------------------------------------------------------
 
 
-def share_of(trans, source: int, target: int) -> float:
+def share_of(net: CitationNetwork, share, source: int, target: int) -> float:
     """Fraction of source's out-flow sent to target (0 without an edge)."""
-    hit = (trans.source == source) & (trans.target == target)
-    return float(trans.share[hit].sum())
+    hit = (net.source == source) & (net.target == target)
+    return float(share[hit].sum())
 
 
 def test_normalize_single_edge_flags_target_dangling():
     net = CitationNetwork.from_edges(["a"], ["b"], [7])
-    trans = normalize_weights(net)
+    share, dangling = normalize_weights(net)
     a, b = net.node_ids.index("a"), net.node_ids.index("b")
-    assert share_of(trans, a, b) == 1.0
-    assert not trans.dangling[a]
-    assert trans.dangling[b]
+    assert share_of(net, share, a, b) == 1.0
+    assert not dangling[a]
+    assert dangling[b]
 
 
 def test_normalize_proportional_split():
     net = CitationNetwork.from_edges(["a", "a"], ["b", "c"], [3, 1])
-    trans = normalize_weights(net)
+    share, _dangling = normalize_weights(net)
     a = net.node_ids.index("a")
-    assert share_of(trans, a, net.node_ids.index("b")) == 0.75
-    assert share_of(trans, a, net.node_ids.index("c")) == 0.25
+    assert share_of(net, share, a, net.node_ids.index("b")) == 0.75
+    assert share_of(net, share, a, net.node_ids.index("c")) == 0.25
 
 
 def test_normalize_all_dangling_without_edges():
     net = build_from_dict(("a", "b", "c"), {})
-    assert normalize_weights(net).dangling.all()
+    _share, dangling = normalize_weights(net)
+    assert dangling.all()
 
 
 def test_normalized_columns_sum_to_one():
     rng = np.random.default_rng(5)
     net = make_random_network(rng, 30)
-    trans = normalize_weights(net)
-    sums = np.bincount(trans.source, weights=trans.share, minlength=net.n_nodes)
+    share, dangling = normalize_weights(net)
+    sums = np.bincount(net.source, weights=share, minlength=net.n_nodes)
     for i in range(net.n_nodes):
-        if trans.dangling[i]:
+        if dangling[i]:
             assert sums[i] == 0.0
         else:
             assert sums[i] == pytest.approx(1.0, abs=1e-12)
@@ -255,8 +256,8 @@ def csr_power_iteration(net: CitationNetwork, cfg: PageRankConfig) -> tuple[np.n
     return pi, iterations
 
 
-@pytest.mark.parametrize("policy", list(DanglingPolicy))
-def test_matches_csr_power_iteration_bit_for_bit(policy):
+def quarter_dangling_network() -> CitationNetwork:
+    """2,000 nodes, 16,000 drawn citations, a quarter of the nodes dangling."""
     rng = np.random.default_rng(2041)
     n = 2000
     citing = rng.permutation(n)[: n * 3 // 4]  # the other quarter is dangling
@@ -268,10 +269,23 @@ def test_matches_csr_power_iteration_bit_for_bit(policy):
     for i, j, w in zip(src[keep].tolist(), dst[keep].tolist(), counts.tolist()):
         weights[(i, j)] = weights.get((i, j), 0) + w
     net = build_from_dict([f"inst{k:04d}" for k in rng.permutation(n)], weights)
+    _share, dangling = normalize_weights(net)
+    assert dangling.sum() >= n // 4
+    return net
+
+
+def synth_cartel_network() -> CitationNetwork:
+    """A network of the synth-cartel benchmark workload: 4,000 nodes, a 10-node cartel."""
+    return generate_traced(SynthConfig(4000, cartel=CartelSpec(10, 20))).network
+
+
+@pytest.mark.parametrize("make_net", [quarter_dangling_network, synth_cartel_network])
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_matches_csr_power_iteration_bit_for_bit(policy, make_net):
+    net = make_net()
     cfg = PageRankConfig(dangling_policy=policy)
     res = pagerank(net, cfg)
     expected, iterations = csr_power_iteration(net, cfg)
-    assert normalize_weights(net).dangling.sum() >= n // 4
     assert res.iterations_used == iterations
     assert np.array_equal(res.scores, expected)
 
