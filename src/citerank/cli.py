@@ -9,6 +9,10 @@ on disk and can be inspected or reused:
     citerank pca       --corr matrix.csv --retain 2 --out DIR
     citerank synth     --nodes 100 --seed 7 --out DIR
 
+Whether same-institution citations count is decided once, by build
+--self-loops; pagerank ranks the edge list exactly as written, so it gives
+the same ranking as the library pipeline with or without self-loop rows.
+
 Exit codes: 0 on success, 1 on user/input errors, 2 on internal errors.
 Every run writes a manifest.json recording inputs, flags and the package
 version; apart from the manifest timestamp, outputs are byte-reproducible.
@@ -129,7 +133,7 @@ def _cmd_build(args) -> int:
         raise InputError(
             f"no institution reaches the publication threshold {profile.publication_threshold}"
         )
-    net = ingest.build_network(records, retained, profile, keep_self_loops=args.self_loops)
+    net = ingest.build_network(records, retained, keep_self_loops=args.self_loops)
 
     report = network.degree_report(net)
     fileio.write_edge_list(net, out / "edges.csv")
@@ -137,28 +141,20 @@ def _cmd_build(args) -> int:
     fileio.write_distribution_csv(report.centrality_distribution, out / "centrality_distribution.csv")
     fileio.write_json(
         {
-            "subject": net.subject,
+            "subject": profile.name,
             "nodes": net.n_nodes,
             "citations": net.total_weight,
             "edges": net.n_edges,
-            "self_loops_included": net.self_loops_included,
+            "self_loops_included": args.self_loops,
             "records_used": len(records),
             "records_parsed": len(parsed.records),
         },
         out / "summary.json",
     )
-    fileio.write_csv(
-        out / "summary.csv",
-        ["nodes", "citations", "edges", "self_loops_included"],
-        [[net.n_nodes, net.total_weight, net.n_edges, str(net.self_loops_included).lower()]],
-        lineterminator="\n",
-    )
-    manifest.outputs += [
-        "edges.csv", "nodes.csv", "centrality_distribution.csv", "summary.json", "summary.csv",
-    ]
+    manifest.outputs += ["edges.csv", "nodes.csv", "centrality_distribution.csv", "summary.json"]
     manifest.write(out)
     print(
-        f"built {net.subject} network: {net.n_nodes} institutions, "
+        f"built {profile.name} network: {net.n_nodes} institutions, "
         f"{net.n_edges} edges, {net.total_weight} citations"
     )
     return 0
@@ -169,9 +165,7 @@ def _cmd_pagerank(args) -> int:
     nodes = fileio.read_score_table(_require_file(args.nodes)).institutions if args.nodes else ()
     if not sources and not nodes:
         raise EmptyNetworkError("edge list is empty")
-    net = network.CitationNetwork.from_edges(
-        sources, targets, weights, keep_self_loops=args.self_loops, extra_nodes=nodes
-    )
+    net = network.CitationNetwork.from_edges(sources, targets, weights, extra_nodes=nodes)
     cfg = PageRankConfig(
         damping=args.damping,
         tolerance=args.tol,
@@ -184,7 +178,7 @@ def _cmd_pagerank(args) -> int:
             f"PageRank did not converge in {cfg.max_iterations} iterations "
             f"(last delta {result.final_delta:.3e}); raise --max-iter or --tol"
         )
-    normalized = scoring.normalize_pagerank(result)
+    normalized = scoring.normalize_pagerank(result.scores)
     out = _prepare_out(args.out)
     fileio.write_ranking_csv(out / "ranking.csv", net.node_ids, result.scores, normalized)
     manifest = RunManifest(
@@ -195,7 +189,6 @@ def _cmd_pagerank(args) -> int:
             "tol": args.tol,
             "max_iter": args.max_iter,
             "dangling": cfg.dangling_policy.value,
-            "self_loops": args.self_loops,
         },
         outputs=["ranking.csv"],
     )
@@ -375,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DanglingPolicy.UNIFORM.value,
         help="how to spread the mass of institutions with no outgoing citations",
     )
-    p_pr.add_argument("--self-loops", action="store_true", help="keep self-loop edges if present")
     p_pr.add_argument("--out", required=True)
 
     p_cmp = sub.add_parser("compare", help="run the comparison battery on two score columns")

@@ -255,7 +255,6 @@ def apply_threshold(
 def build_network(
     records: Sequence[PublicationRecord],
     retained: set[str],
-    profile: SubjectProfile,
     keep_self_loops: bool = False,
 ) -> CitationNetwork:
     """Aggregate cross-citations among retained institutions into a network.
@@ -265,7 +264,8 @@ def build_network(
     affiliation, cited affiliation) pair with both sides retained; same-
     institution pairs are dropped unless keep_self_loops is set. All
     retained institutions appear as nodes, edges or not, and the result is
-    independent of record order.
+    independent of record order. This is the one place that decides whether
+    self-citations count: the network stores whatever edges it is given.
     """
     if not retained:
         raise InputError("retained institution set is empty; nothing to build")
@@ -285,11 +285,12 @@ def build_network(
             for a in citing:
                 sources.extend([a] * len(cited))
                 targets.extend(cited)
-    return CitationNetwork.build(
-        nodes,
-        sources,
-        targets,
-        np.ones(len(sources), dtype=np.int64),
-        subject=profile.name,
-        keep_self_loops=keep_self_loops,
-    )
+    # each list is freed as soon as its array exists, to keep the peak low
+    source = np.array(sources, dtype=np.int64)
+    del sources
+    target = np.array(targets, dtype=np.int64)
+    del targets
+    if not keep_self_loops:
+        kept = source != target
+        source, target = source[kept], target[kept]
+    return CitationNetwork.build(nodes, source, target, np.ones(source.size, dtype=np.int64))

@@ -1,9 +1,12 @@
 """Weighted directed citation network between institutions.
 
 Nodes are institutions; an edge (i, j) with weight w means institution i's
-publications cite institution j's publications w times in total. The degree
-statistics here treat the network as unweighted: in-degree counts distinct
-citing institutions, not citation volume.
+publications cite institution j's publications w times in total. A network
+is only its nodes and edges: a self-loop (i, i) is stored like any other
+edge, and whether same-institution citations count is decided where records
+become a network, in ingest.build_network. The degree statistics here treat
+the network as unweighted: in-degree counts distinct citing institutions,
+not citation volume.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ def _first(mask: np.ndarray, *arrays: np.ndarray) -> list[int]:
     return [int(a[k]) for a in arrays]
 
 
-def _check_edges(n: int, source, target, weight, self_loops: bool) -> None:
-    """Raise InputError for the first edge out of range, non-positive, or a stray self-loop."""
+def _check_edges(n: int, source, target, weight) -> None:
+    """Raise InputError for the first edge out of range or of non-positive weight."""
     bad = (source < 0) | (source >= n) | (target < 0) | (target >= n)
     if bad.any():
         i, j = _first(bad, source, target)
@@ -64,11 +67,6 @@ def _check_edges(n: int, source, target, weight, self_loops: bool) -> None:
     if bad.any():
         i, j, w = _first(bad, source, target, weight)
         raise InputError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
-    if not self_loops:
-        bad = source == target
-        if bad.any():
-            (i,) = _first(bad, source)
-            raise InputError(f"self-loop at node {i} but self_loops_included is False")
 
 
 def _check_total(weight: np.ndarray) -> None:
@@ -95,8 +93,6 @@ class CitationNetwork:
     source: np.ndarray
     target: np.ndarray
     weight: np.ndarray
-    subject: str = ""
-    self_loops_included: bool = False
 
     def __post_init__(self) -> None:
         ids = tuple(self.node_ids)
@@ -104,7 +100,7 @@ class CitationNetwork:
         if len(set(ids)) != n:
             raise InputError("node identifiers must be unique")
         source, target, weight = _edge_columns(self.source, self.target, self.weight)
-        _check_edges(n, source, target, weight, self.self_loops_included)
+        _check_edges(n, source, target, weight)
         keys = source * n + target
         if np.any(keys[1:] <= keys[:-1]):
             raise InputError("edges must be distinct and sorted by (source, target)")
@@ -115,27 +111,15 @@ class CitationNetwork:
         object.__setattr__(self, "node_ids", ids)
 
     @classmethod
-    def build(
-        cls,
-        node_ids: Iterable[str],
-        source,
-        target,
-        weight,
-        subject: str = "",
-        keep_self_loops: bool = False,
-    ) -> "CitationNetwork":
+    def build(cls, node_ids: Iterable[str], source, target, weight) -> "CitationNetwork":
         """Assemble a network from (source[k], target[k], weight[k]) index triples.
 
-        Pairs may come in any order and repeat; repeats add up. Self-loops
-        are dropped unless explicitly kept.
+        Pairs may come in any order and repeat; repeats add up.
         """
         ids = tuple(node_ids)
         n = len(ids)
         source, target, weight = _edge_columns(source, target, weight)
-        _check_edges(n, source, target, weight, self_loops=True)
-        if not keep_self_loops:
-            kept = source != target
-            source, target, weight = source[kept], target[kept], weight[kept]
+        _check_edges(n, source, target, weight)
         keys = source * n + target
         order = np.argsort(keys)  # integer sums do not depend on the order of repeats
         keys, weight = keys[order], weight[order]
@@ -151,7 +135,7 @@ class CitationNetwork:
                     f"{exact[over[0]]}, beyond the int64 range"
                 )
         keys, weight = keys[starts], np.add.reduceat(weight, starts)
-        return cls(ids, keys // n, keys % n, weight, subject, keep_self_loops)
+        return cls(ids, keys // n, keys % n, weight)
 
     @classmethod
     def from_edges(
@@ -159,15 +143,13 @@ class CitationNetwork:
         sources: Sequence[str],
         targets: Sequence[str],
         weights,
-        subject: str = "",
-        keep_self_loops: bool = False,
         extra_nodes: Iterable[str] = (),
     ) -> "CitationNetwork":
         """Build from edge columns: sources[k] cites targets[k] weights[k] times.
 
-        Repeated (source, target) pairs accumulate. Node order is the sorted
-        union of all endpoint ids and extra_nodes, so the result does not
-        depend on edge order.
+        Repeated (source, target) pairs accumulate, and self-loops stay as
+        written. Node order is the sorted union of all endpoint ids and
+        extra_nodes, so the result does not depend on edge order.
         """
         ordered = tuple(sorted(set(sources).union(targets, extra_nodes)))
         index = dict(zip(ordered, range(len(ordered))))
@@ -176,16 +158,13 @@ class CitationNetwork:
             np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=len(sources)),
             np.fromiter(map(index.__getitem__, targets), dtype=np.int64, count=len(targets)),
             weights,
-            subject,
-            keep_self_loops,
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CitationNetwork):
             return NotImplemented
-        labels = (self.node_ids, self.subject, self.self_loops_included)
         arrays = ("source", "target", "weight")
-        return labels == (other.node_ids, other.subject, other.self_loops_included) and all(
+        return self.node_ids == other.node_ids and all(
             np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
         )
 

@@ -277,25 +277,23 @@ class ComparisonReport:
     spearman_rho: float
     spearman_p: float
     kendall_w: float
+    displacement: DisplacementSummary
     partial: dict[str, tuple[float, float]] = field(default_factory=dict)
-    displacement: DisplacementSummary | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
+        d = self.displacement
+        return {
             "pearson": {"r": self.pearson_r, "p": self.pearson_p},
             "spearman": {"rho": self.spearman_rho, "p": self.spearman_p},
             "kendall_w": self.kendall_w,
             "partial": {
                 name: {"r": r, "p": p} for name, (r, p) in sorted(self.partial.items())
             },
-        }
-        if self.displacement is not None:
-            d = self.displacement
-            out["displacement"] = {
+            "displacement": {
                 "n": d.n, "mean": d.mean, "std": d.std,
                 "p50": d.p50, "p75": d.p75, "p90": d.p90,
-            }
-        return out
+            },
+        }
 
 
 def compare_columns(a, b, controls: Mapping[str, Sequence[float]] | None = None) -> ComparisonReport:

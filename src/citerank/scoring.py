@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InputError, MissingColumnError, ScoringError
 from .ingest import SubjectProfile
-from .pagerank import PageRankResult
 
 __all__ = ["ScoreTable", "compress", "composite_score", "normalize_pagerank"]
 
@@ -108,14 +107,14 @@ def composite_score(table: ScoreTable, profile: SubjectProfile) -> np.ndarray:
     return acc / total
 
 
-def normalize_pagerank(pr: PageRankResult | np.ndarray) -> np.ndarray:
+def normalize_pagerank(scores) -> np.ndarray:
     """Place PageRank scores on the 0-100 indicator scale.
 
     Applies the same square-root compression used for indicators: scores are
     normalized over the maximum and square-rooted, so the top institution
-    scores exactly 100. Accepts a PageRankResult or a bare score vector.
+    scores exactly 100. Takes a score vector, such as PageRankResult.scores.
     """
-    scores = np.asarray(getattr(pr, "scores", pr), dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ScoringError("cannot normalize an empty score vector")
     if not np.all(np.isfinite(scores)) or np.any(scores <= 0):

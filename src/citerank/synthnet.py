@@ -239,5 +239,5 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
                     targets.append(b)
                     weights.append(boost)
 
-    net = CitationNetwork.build(ids, sources, targets, weights, subject=f"synthetic-{cfg.seed}")
+    net = CitationNetwork.build(ids, sources, targets, weights)
     return SynthResult(network=net, cartel_members=members)

@@ -14,7 +14,7 @@ class OracleSizeError(CiteRankError):
     """The dense reference solver refuses networks above its size cap."""
 
 
-def build_from_dict(node_ids, weights, subject: str = "", keep_self_loops: bool = False) -> CitationNetwork:
+def build_from_dict(node_ids, weights) -> CitationNetwork:
     """CitationNetwork.build from a {(source index, target index): weight} dict."""
     pairs = list(weights.items())
     return CitationNetwork.build(
@@ -22,8 +22,6 @@ def build_from_dict(node_ids, weights, subject: str = "", keep_self_loops: bool 
         [i for (i, _j), _w in pairs],
         [j for (_i, j), _w in pairs],
         [w for _pair, w in pairs],
-        subject=subject,
-        keep_self_loops=keep_self_loops,
     )
 
 
@@ -103,15 +101,13 @@ def columns(edges) -> tuple[list, list, list]:
     return [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges]
 
 
-def reference_from_edges(edges, subject: str = "", keep_self_loops: bool = False,
-                         extra_nodes=()) -> CitationNetwork:
+def reference_from_edges(edges, extra_nodes=()) -> CitationNetwork:
     """CitationNetwork from (source id, target id, weight) triples, one edge at a time."""
     sources, targets, weights = columns(list(edges))
     ordered = tuple(sorted(set(sources).union(targets, extra_nodes)))
     index = dict(zip(ordered, range(len(ordered))))
     return CitationNetwork.build(
-        ordered, [index[s] for s in sources], [index[t] for t in targets], weights, subject,
-        keep_self_loops,
+        ordered, [index[s] for s in sources], [index[t] for t in targets], weights
     )
 
 

@@ -236,7 +236,7 @@ def test_criterion_5_ingestion_fixture():
     )
     filtered = filter_records(records, profile)
     retained = apply_threshold(filtered, profile)
-    net = build_network(filtered, retained, profile)
+    net = build_network(filtered, retained)
 
     edges = sorted([net.node_ids[i], net.node_ids[j], w] for (i, j), w in weight_dict(net).items())
     ok = (

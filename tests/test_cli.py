@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -269,11 +270,11 @@ def test_pagerank_with_nodes_ranks_what_the_library_ranks(tmp_path):
     profile = citerank.default_profiles()["TEL"]
     with open(records, encoding="utf-8") as fh:
         parsed = citerank.filter_records(citerank.parse_records(fh, strict=True).records, profile)
-    net = citerank.build_network(parsed, citerank.apply_threshold(parsed, profile), profile)
+    net = citerank.build_network(parsed, citerank.apply_threshold(parsed, profile))
     assert net.node_ids == ("uni-a", "uni-b", "uni-c")
     result = citerank.pagerank(net)
     library = tmp_path / "library.csv"
-    write_ranking_csv(library, net.node_ids, result.scores, citerank.normalize_pagerank(result))
+    write_ranking_csv(library, net.node_ids, result.scores, citerank.normalize_pagerank(result.scores))
     assert (pr_dir / "ranking.csv").read_bytes() == library.read_bytes()
     manifest = json.loads((pr_dir / "manifest.json").read_text())
     assert manifest["inputs"]["nodes"] == str(net_dir / "nodes.csv")
@@ -281,6 +282,32 @@ def test_pagerank_with_nodes_ranks_what_the_library_ranks(tmp_path):
     assert main(["pagerank", str(net_dir / "edges.csv"), "--out", str(tmp_path / "pr0")]) == 0
     assert len(_read_csv(tmp_path / "pr0" / "ranking.csv")) == 3
     assert "nodes" not in json.loads((tmp_path / "pr0" / "manifest.json").read_text())["inputs"]
+
+
+def test_self_loops_chosen_at_build_reach_the_ranking(tmp_path):
+    net_dir, pr_dir = tmp_path / "net", tmp_path / "pr"
+    assert main(["build", str(RECORDS), "--subject", "TEL", "--threshold", "1", "--self-loops",
+                 "--out", str(net_dir)]) == 0
+    edges = _read_csv(net_dir / "edges.csv")[1:]
+    assert any(source == target for source, target, _ in edges)
+    assert main(["pagerank", str(net_dir / "edges.csv"), "--nodes", str(net_dir / "nodes.csv"),
+                 "--out", str(pr_dir)]) == 0
+
+    profile = replace(citerank.default_profiles()["TEL"], publication_threshold=1)
+    with open(RECORDS, encoding="utf-8") as fh:
+        parsed = citerank.filter_records(citerank.parse_records(fh).records, profile)
+    net = citerank.build_network(parsed, citerank.apply_threshold(parsed, profile), keep_self_loops=True)
+    result = citerank.pagerank(net)
+    library = tmp_path / "library.csv"
+    write_ranking_csv(library, net.node_ids, result.scores, citerank.normalize_pagerank(result.scores))
+    assert (pr_dir / "ranking.csv").read_bytes() == library.read_bytes()
+
+
+def test_pagerank_self_loops_flag_is_unknown(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,weight\na,a,1\na,b,1\n")
+    assert main(["pagerank", str(edges), "--self-loops", "--out", str(tmp_path / "pr")]) == 1
+    assert "--self-loops" in capsys.readouterr().err
 
 
 def test_pagerank_with_nodes_ranks_a_network_without_edges(tmp_path):

@@ -125,10 +125,10 @@ def test_edge_list_columns_match_row_wise_reference(tmp_path):
     write_path, ref_path = tmp_path / "edges.csv", tmp_path / "reference.csv"
 
     def read_columns(path):
-        return CitationNetwork.from_edges(*read_edge_list(path), keep_self_loops=True)
+        return CitationNetwork.from_edges(*read_edge_list(path))
 
     def read_rows(path):
-        return reference_from_edges(reference_read_edge_list(path), keep_self_loops=True)
+        return reference_from_edges(reference_read_edge_list(path))
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @hypothesis.given(ids, st.data())
@@ -140,9 +140,7 @@ def test_edge_list_columns_match_row_wise_reference(tmp_path):
         if weights:  # one weight as large as the int64 total allows
             big = data.draw(st.integers(1, INT64_MAX))
             weights[0] = max(1, min(big, INT64_MAX - sum(weights[1:])))
-        net = CitationNetwork.build(
-            node_ids, [i for i, _ in pairs], [j for _, j in pairs], weights, keep_self_loops=True
-        )
+        net = CitationNetwork.build(node_ids, [i for i, _ in pairs], [j for _, j in pairs], weights)
         write_edge_list(net, write_path)
         reference_write_edge_list(net, ref_path)
         assert write_path.read_bytes() == ref_path.read_bytes()

@@ -327,7 +327,7 @@ def test_build_single_citation():
             _line("p2", affils=("B",)),
         ]
     )
-    net = build_network(res.records, {"a", "b"}, _profile())
+    net = build_network(res.records, {"a", "b"})
     assert weight_dict(net) == {(net.node_ids.index("a"), net.node_ids.index("b")): 1}
 
 
@@ -338,7 +338,7 @@ def test_build_cross_product_drops_self_pairs():
             _line("p2", affils=("B", "C")),
         ]
     )
-    net = build_network(res.records, {"a", "b", "c"}, _profile())
+    net = build_network(res.records, {"a", "b", "c"})
     expected = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
     actual = {
         (net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()
@@ -353,7 +353,7 @@ def test_build_keeps_self_pairs_when_enabled():
             _line("p2", affils=("B",)),
         ]
     )
-    net = build_network(res.records, {"a", "b"}, _profile(), keep_self_loops=True)
+    net = build_network(res.records, {"a", "b"}, keep_self_loops=True)
     actual = {
         (net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()
     }
@@ -367,7 +367,7 @@ def test_build_ignores_references_outside_dataset():
             _line("p2", affils=("B",)),
         ]
     )
-    net = build_network(res.records, {"a", "b"}, _profile())
+    net = build_network(res.records, {"a", "b"})
     assert net.n_edges == 0
     assert net.node_ids == ("a", "b")
 
@@ -380,7 +380,7 @@ def test_build_matches_padded_reference_ids():
             _line("p2", affils=("B",), refs=[(" P1 ", ("A",)), ("P1", ("A",)), ("P1\t", ("A",))]),
         ]
     )
-    net = build_network(res.records, {"a", "b"}, _profile())
+    net = build_network(res.records, {"a", "b"})
     assert net.total_weight == 3
     assert [ref_id for ref_id, _affils in res.records[1].references] == ["P1", "P1", "P1"]
 
@@ -388,7 +388,7 @@ def test_build_matches_padded_reference_ids():
 def test_build_requires_retained_institutions():
     res = _parse([_line("p1")])
     with pytest.raises(InputError):
-        build_network(res.records, set(), _profile())
+        build_network(res.records, set())
 
 
 def test_build_is_record_order_invariant():
@@ -400,8 +400,8 @@ def test_build_is_record_order_invariant():
     res_fwd = _parse(lines)
     res_rev = _parse(list(reversed(lines)))
     retained = {"a", "b", "c"}
-    net_fwd = build_network(res_fwd.records, retained, _profile())
-    net_rev = build_network(res_rev.records, retained, _profile())
+    net_fwd = build_network(res_fwd.records, retained)
+    net_rev = build_network(res_rev.records, retained)
     assert net_fwd.node_ids == net_rev.node_ids
     assert weight_dict(net_fwd) == weight_dict(net_rev)
 
@@ -421,7 +421,7 @@ def test_build_ignores_record_order():
         shuffled = data.draw(st.permutations(lines))
         retained = {"a", "b", "c"}
         nets = [
-            build_network(_parse(ls).records, retained, _profile(), keep_self_loops=keep_self_loops)
+            build_network(_parse(ls).records, retained, keep_self_loops=keep_self_loops)
             for ls in (lines, shuffled)
         ]
         assert nets[0] == nets[1]
@@ -475,7 +475,7 @@ def test_fixture_retained_counts_by_threshold(fixture_records, fixture_manifest)
 def test_fixture_network_matches_hand_count(fixture_records, fixture_manifest):
     profile = _profile(threshold=fixture_manifest["threshold"])
     retained = apply_threshold(filter_records(fixture_records, profile), profile)
-    net = build_network(fixture_records, retained, profile)
+    net = build_network(fixture_records, retained)
     assert net.n_nodes == fixture_manifest["nodes"]
     assert net.n_edges == fixture_manifest["edge_count"]
     assert net.total_weight == fixture_manifest["total_weight"]

@@ -36,15 +36,10 @@ def test_rejects_out_of_range_indices():
         build_from_dict(("a", "b"), {(0, 2): 1})
 
 
-def test_self_loops_dropped_by_default_and_kept_on_request():
-    weights = {(0, 0): 5, (0, 1): 2}
-    net = build_from_dict(("a", "b"), weights)
-    assert (0, 0) not in weight_dict(net)
-    assert net.self_loops_included is False
-
-    kept = build_from_dict(("a", "b"), weights, keep_self_loops=True)
-    assert weight_dict(kept)[(0, 0)] == 5
-    assert kept.self_loops_included is True
+def test_self_loops_stored_as_given():
+    net = build_from_dict(("a", "b"), {(0, 0): 5, (0, 1): 2, (1, 1): 1})
+    assert weight_dict(net) == {(0, 0): 5, (0, 1): 2, (1, 1): 1}
+    assert net == CitationNetwork.from_edges(["a", "a", "b"], ["a", "b", "b"], [5, 2, 1])
 
 
 def test_from_edges_accumulates_and_sorts_nodes():
@@ -62,29 +57,28 @@ def test_from_edges_ignores_edge_order():
     edge_lists = st.lists(triple, max_size=30).map(lambda edges: edges + edges[::2])
 
     @hypothesis.settings(derandomize=True, database=None)
-    @hypothesis.given(edge_lists, st.booleans(), st.data())
-    def check(edges, keep_self_loops, data):
+    @hypothesis.given(edge_lists, st.data())
+    def check(edges, data):
         shuffled = data.draw(st.permutations(edges))
-        net = CitationNetwork.from_edges(*columns(shuffled), keep_self_loops=keep_self_loops)
-        assert net == CitationNetwork.from_edges(*columns(edges), keep_self_loops=keep_self_loops)
-        assert net == reference_from_edges(edges, keep_self_loops=keep_self_loops)
+        net = CitationNetwork.from_edges(*columns(shuffled))
+        assert net == CitationNetwork.from_edges(*columns(edges))
+        assert net == reference_from_edges(edges)
 
     check()
 
 
 def test_build_matches_dict_accumulation():
     rng = np.random.default_rng(404)
-    for keep in (False, True):
+    for _ in range(2):
         n = 40
         src = rng.integers(0, n, size=3000)
         dst = rng.integers(0, n, size=3000)
         w = rng.integers(1, 6, size=3000)
         expected = {}
         for i, j, x in zip(src.tolist(), dst.tolist(), w.tolist()):
-            if i != j or keep:
-                expected[(i, j)] = expected.get((i, j), 0) + x
+            expected[(i, j)] = expected.get((i, j), 0) + x
         ids = [f"n{k}" for k in rng.permutation(n)]
-        net = CitationNetwork.build(ids, src, dst, w, keep_self_loops=keep)
+        net = CitationNetwork.build(ids, src, dst, w)
         assert weight_dict(net) == expected
         assert list(zip(net.source.tolist(), net.target.tolist())) == sorted(expected)
         assert net.total_weight == sum(expected.values())
@@ -159,7 +153,7 @@ def test_in_degree_counts_citers_not_weight():
 
 
 def test_in_degree_ignores_self_loops_even_when_stored():
-    net = build_from_dict(("a", "b"), {(0, 0): 4, (1, 0): 1}, keep_self_loops=True)
+    net = build_from_dict(("a", "b"), {(0, 0): 4, (1, 0): 1})
     assert in_degree(net).tolist() == [1, 0]
 
 

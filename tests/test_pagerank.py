@@ -204,9 +204,7 @@ def test_permutation_equivariance():
 
 
 def test_self_loops_participate_when_kept():
-    net = build_from_dict(
-        ("a", "b"), {(0, 0): 3, (0, 1): 1, (1, 0): 1}, keep_self_loops=True
-    )
+    net = build_from_dict(("a", "b"), {(0, 0): 3, (0, 1): 1, (1, 0): 1})
     cfg = PageRankConfig()
     res = pagerank(net, cfg)
     assert res.converged

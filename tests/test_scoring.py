@@ -148,7 +148,7 @@ def test_normalize_quarter_of_max_is_50():
 def test_normalize_uniform_cycle_scores():
     net = CitationNetwork.from_edges(["a", "b", "c"], ["b", "c", "a"], [1, 1, 1])
     result = pagerank(net, PageRankConfig())
-    out = normalize_pagerank(result)
+    out = normalize_pagerank(result.scores)
     assert np.allclose(out, 100.0, atol=1e-12)
 
 

@@ -40,7 +40,7 @@ def _reference_generate(cfg):
                 if a != b:
                     weights[(a, b)] = weights.get((a, b), 0) + boost
 
-    net = build_from_dict(ids, weights, subject=f"synthetic-{cfg.seed}")
+    net = build_from_dict(ids, weights)
     return synthnet.SynthResult(network=net, cartel_members=members)
 
 
