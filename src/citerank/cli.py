@@ -99,7 +99,7 @@ def _cmd_build(args) -> int:
     if args.threshold is not None:
         profile = replace(profile, publication_threshold=args.threshold)
     records_path = _require_file(args.records)
-    with open(records_path, encoding="utf-8") as handle:
+    with open(records_path, encoding="utf-8-sig") as handle:
         parsed = ingest.parse_records(handle, strict=args.strict)
 
     out = _prepare_out(args.out)

@@ -77,7 +77,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]], Exception | None]:
     as they are read, so no per-row object outlives its row.
     """
     unread = None
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [field.strip() for field in next(reader, [])]
@@ -113,7 +113,7 @@ def _check_rows(path, columns: list[list[str]], problem, unread: Exception | Non
     for k, fields in enumerate(zip(*columns)):
         message = problem(*fields)
         if message:
-            with open(path, newline="", encoding="utf-8") as handle:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 reader = csv.reader(handle)
                 next(reader, None)
                 next(islice(filter(None, reader), k, None))  # the k-th non-blank row

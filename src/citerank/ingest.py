@@ -10,15 +10,23 @@ folding; no entity resolution is attempted. A subject profile selects a
 record category and year window, sets the publication threshold below which
 an institution is dropped, and carries the indicator weights used for
 composite scoring.
+
+parse_records reads every line once into a RecordTable: per-record columns,
+and int64 arrays of institution positions and cited-record rows.
+filter_records, apply_threshold and build_network then work on those arrays
+with numpy, never on one Python object per reference.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,11 +35,11 @@ from .network import CitationNetwork
 
 __all__ = [
     "PublicationRecord",
+    "RecordTable",
     "SubjectProfile",
     "ParseIssue",
     "ParseResult",
     "INDICATORS",
-    "normalize_institution",
     "parse_records",
     "filter_records",
     "apply_threshold",
@@ -43,13 +51,8 @@ __all__ = [
 INDICATORS = ("PUB", "CNCI", "IC", "TOP", "AWD")
 
 
-def normalize_institution(name: str) -> str:
-    """Canonical institution id: trimmed, case-folded affiliation string."""
-    return name.strip().casefold()
-
-
 class PublicationRecord(NamedTuple):
-    """One parsed record; each reference is a plain (pub_id or None, affiliations) tuple."""
+    """One record, as a RecordTable item; each reference is a (pub_id or None, affiliations) tuple."""
 
     pub_id: str
     year: int
@@ -133,27 +136,117 @@ class ParseIssue:
     message: str
 
 
+def _offsets(counts) -> np.ndarray:
+    """Offsets of a ragged column from its row lengths: row k is values[offsets[k]:offsets[k + 1]]."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _take_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the given rows of a ragged column, and the positions of their values."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    taken = _offsets(counts)
+    return taken, np.repeat(starts - taken[:-1], counts) + np.arange(taken[-1])
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RecordTable(Sequence):
+    """Parsed records held by column; a read-only Sequence of PublicationRecord.
+
+    Record k has pub_ids[k], years[k] and categories[k], the affiliations
+    affiliations[affiliation_offsets[k]:affiliation_offsets[k + 1]], and the
+    references reference_offsets[k] up to reference_offsets[k + 1]. Reference
+    r has reference_ids[r] (trimmed, or None), cited[r] (the row of the record
+    it cites in this table, or -1 when that record is not in it) and the
+    affiliations reference_affiliations[reference_affiliation_offsets[r]:...].
+    An affiliation is a position in `institutions`, the canonical ids in the
+    order they were first read, and `institution_index` maps each id to its
+    position; each affiliation list holds distinct ids in first-read order.
+    pub_ids, years, categories and reference_ids are object arrays of the
+    values read, so a year is a Python int of any size; the other arrays are
+    int64. Every array is read-only. len() is O(1), and item k is built as a
+    PublicationRecord when it is read.
+    """
+
+    pub_ids: np.ndarray
+    years: np.ndarray
+    categories: np.ndarray
+    institutions: tuple[str, ...]
+    institution_index: Mapping[str, int]
+    affiliation_offsets: np.ndarray
+    affiliations: np.ndarray
+    reference_offsets: np.ndarray
+    reference_ids: np.ndarray
+    cited: np.ndarray
+    reference_affiliation_offsets: np.ndarray
+    reference_affiliations: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.pub_ids)
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        if isinstance(rows, range):
+            return [self._record(k) for k in rows]
+        return self._record(rows)
+
+    def _record(self, k: int) -> PublicationRecord:
+        name = self.institutions.__getitem__
+        low, high = self.affiliation_offsets[k : k + 2].tolist()
+        affiliations = tuple(map(name, self.affiliations[low:high].tolist()))
+        first, last = self.reference_offsets[k : k + 2].tolist()
+        bounds = self.reference_affiliation_offsets[first : last + 1].tolist()
+        cited = self.reference_affiliations[bounds[0] : bounds[-1]].tolist()
+        base = bounds[0]
+        references = tuple(
+            (self.reference_ids[r], tuple(map(name, cited[start - base : end - base])))
+            for r, start, end in zip(range(first, last), bounds, bounds[1:])
+        )
+        return PublicationRecord(
+            self.pub_ids[k], self.years[k], self.categories[k], affiliations, references
+        )
+
+
 @dataclass
 class ParseResult:
-    records: list[PublicationRecord]
+    """The parsed records, and one ParseIssue per skipped line in line order."""
+
+    records: RecordTable
     issues: list[ParseIssue]
 
 
-def _institutions(names, what: str) -> tuple[str, ...]:
-    """Distinct canonical ids of a JSON affiliation list, in first-seen order."""
+def _intern(names, what: str, index: dict[str, int]) -> list[int]:
+    """Positions in `index` of the distinct canonical ids of a JSON affiliation list, first read first.
+
+    A canonical id is the name trimmed and case-folded; an empty one is
+    skipped. An id not yet in `index` is added to it, also when the line
+    fails a later check; apply_threshold never retains such an id, since no
+    record lists it.
+    """
     if not isinstance(names, list):
         raise ValueError(f"{what} must be a list of strings")
-    ids: list[str] = []
+    ids: list[int] = []
     for name in names:
         if not isinstance(name, str):
             raise ValueError(f"{what} must be a list of strings")
-        canon = normalize_institution(name)
-        if canon and canon not in ids:
-            ids.append(canon)
-    return tuple(ids)
+        canon = name.strip().casefold()
+        if canon:
+            k = index.setdefault(canon, len(index))
+            if k not in ids:
+                ids.append(k)
+    return ids
 
 
-def _parse_line(line: str) -> PublicationRecord:
+def _parse_line(line: str, index: dict[str, int]):
+    """One record's columns: pub_id, year, category, affiliation positions,
+    reference ids, per-reference affiliation counts and their positions."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -173,87 +266,210 @@ def _parse_line(line: str) -> PublicationRecord:
     category = obj.get("category")
     if not isinstance(category, str) or not category.strip():
         raise ValueError("category must be a non-empty string")
-    affiliations = _institutions(obj.get("affiliations"), "affiliations")
+    affiliations = _intern(obj.get("affiliations"), "affiliations", index)
     if not affiliations:
         raise ValueError("affiliations must be non-empty")
     raw_refs = obj.get("references")
     if not isinstance(raw_refs, list):
         raise ValueError("references must be a list")
-    references = []
+    ref_ids: list[str | None] = []
+    ref_counts: list[int] = []
+    ref_affiliations: list[int] = []
     for ref in raw_refs:
         if not isinstance(ref, dict):
             raise ValueError("each reference must be an object")
         ref_id = ref.get("pub_id")
-        if ref_id is not None and not isinstance(ref_id, str):
-            raise ValueError("reference pub_id must be a string or null")
-        ref_affiliations = _institutions(ref.get("affiliations"), "reference affiliations")
-        references.append((ref_id if ref_id is None else ref_id.strip(), ref_affiliations))
-    return PublicationRecord(pub_id.strip(), year, category.strip(), affiliations, tuple(references))
+        if ref_id is not None:
+            if not isinstance(ref_id, str):
+                raise ValueError("reference pub_id must be a string or null")
+            ref_id = ref_id.strip()
+        ids = _intern(ref.get("affiliations"), "reference affiliations", index)
+        ref_ids.append(ref_id)
+        ref_counts.append(len(ids))
+        ref_affiliations += ids
+    return pub_id.strip(), year, category.strip(), affiliations, ref_ids, ref_counts, ref_affiliations
 
 
 def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
-    """Parse JSON Lines publication records.
+    """Parse JSON Lines publication records into a RecordTable.
 
-    Each record becomes a PublicationRecord whose ids are trimmed and whose
-    affiliations are canonical institution ids; its references are plain
-    (pub_id, affiliations) tuples of the same kind. Malformed lines and
-    duplicate pub_ids are collected as ParseIssues with their line numbers
-    while valid lines proceed; in strict mode the first issue raises
-    ParseError instead. Blank lines are ignored.
+    Each valid line is checked and normalised once: ids are trimmed and
+    affiliations become canonical institution ids, stored as positions in
+    the table's institution index. After the last line every reference id
+    is looked up among the record ids. Malformed lines and duplicate pub_ids
+    are collected as ParseIssues with their line numbers while valid lines
+    proceed; in strict mode the first issue raises ParseError instead. Blank
+    lines are ignored.
     """
-    records: list[PublicationRecord] = []
+    index: dict[str, int] = {}
+    row_of: dict[str, int] = {}
+    line_of: list[int] = []
+    pub_ids: list[str] = []
+    years: list[int] = []
+    categories: list[str] = []
+    reference_ids: list[str | None] = []
+    # int64 columns grow in place, 8 bytes a value and no Python object each
+    affiliation_counts, affiliations = array("q"), array("q")
+    reference_counts = array("q")
+    reference_affiliation_counts, reference_affiliations = array("q"), array("q")
     issues: list[ParseIssue] = []
-    first_line_of: dict[str, int] = {}
 
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            record = _parse_line(line)
+            pub_id, year, category, affs, ref_ids, ref_counts, ref_affs = _parse_line(line, index)
         except ValueError as exc:
             message = str(exc)
         else:
-            first = first_line_of.setdefault(record.pub_id, line_no)
-            if first == line_no:
-                records.append(record)
+            row = row_of.setdefault(pub_id, len(line_of))
+            if row == len(line_of):
+                line_of.append(line_no)
+                pub_ids.append(pub_id)
+                years.append(year)
+                categories.append(category)
+                affiliation_counts.append(len(affs))
+                affiliations.extend(affs)
+                reference_counts.append(len(ref_ids))
+                reference_ids += ref_ids
+                reference_affiliation_counts.extend(ref_counts)
+                reference_affiliations.extend(ref_affs)
                 continue
-            message = f"duplicate pub_id {record.pub_id!r} (first seen on line {first})"
+            message = f"duplicate pub_id {pub_id!r} (first seen on line {line_of[row]})"
         if strict:
             raise ParseError(f"line {line_no}: {message}")
         issues.append(ParseIssue(line_no, message))
-    return ParseResult(records, issues)
+
+    cited = np.fromiter(
+        map(row_of.get, reference_ids, repeat(-1)), dtype=np.int64, count=len(reference_ids)
+    )
+    table = RecordTable(
+        np.array(pub_ids, dtype=object),
+        np.array(years, dtype=object),
+        np.array(categories, dtype=object),
+        tuple(index),
+        MappingProxyType(index),
+        _offsets(affiliation_counts),
+        np.frombuffer(affiliations, dtype=np.int64),
+        _offsets(reference_counts),
+        np.array(reference_ids, dtype=object),
+        cited,
+        _offsets(reference_affiliation_counts),
+        np.frombuffer(reference_affiliations, dtype=np.int64),
+    )
+    return ParseResult(table, issues)
 
 
-def filter_records(
-    records: Sequence[PublicationRecord], profile: SubjectProfile
-) -> list[PublicationRecord]:
-    """Keep records matching the profile's category and year window."""
+def filter_records(records: RecordTable, profile: SubjectProfile) -> RecordTable:
+    """The records matching the profile's category and year window, as a table.
+
+    Cited rows are renumbered into the new table; a reference to a record
+    left out cites nothing in it (-1). When every record matches, the table
+    itself is returned.
+    """
     category = profile.category.strip().casefold()
     low, high = profile.year_range
-    return [
-        rec
-        for rec in records
-        if rec.category.strip().casefold() == category and low <= rec.year <= high
-    ]
+    keep = (records.years >= low) & (records.years <= high)  # Python ints: any size compares
+    keep &= np.fromiter((c.casefold() == category for c in records.categories), bool, len(records))
+    if keep.all():
+        return records
+    pick = np.flatnonzero(keep)
+    affiliation_offsets, affiliations = _take_rows(records.affiliation_offsets, pick)
+    reference_offsets, references = _take_rows(records.reference_offsets, pick)
+    # a record's reference affiliations are one run too: take them by record
+    ends = records.reference_affiliation_offsets
+    _, reference_affiliations = _take_rows(ends[records.reference_offsets], pick)
+    reference_affiliation_offsets = _offsets(ends[references + 1] - ends[references])
+    renumber = np.full(len(records) + 1, -1, dtype=np.int64)  # the last entry keeps -1 at -1
+    renumber[pick] = np.arange(pick.size)
+    return RecordTable(
+        records.pub_ids[pick],
+        records.years[pick],
+        records.categories[pick],
+        records.institutions,
+        records.institution_index,
+        affiliation_offsets,
+        records.affiliations[affiliations],
+        reference_offsets,
+        records.reference_ids[references],
+        renumber[records.cited[references]],
+        reference_affiliation_offsets,
+        records.reference_affiliations[reference_affiliations],
+    )
 
 
-def apply_threshold(
-    records: Sequence[PublicationRecord], profile: SubjectProfile
-) -> set[str]:
+def apply_threshold(records: RecordTable, profile: SubjectProfile) -> set[str]:
     """Institutions whose publication count reaches the profile threshold.
 
     Expects records already filtered to the profile's category and years.
     A publication counts once toward each of its listed affiliations; the
     threshold comparison is inclusive (count >= threshold retains).
     """
-    counts: Counter[str] = Counter()
-    for rec in records:
-        counts.update(rec.affiliations)
-    return {inst for inst, n in counts.items() if n >= profile.publication_threshold}
+    counts = np.bincount(records.affiliations, minlength=len(records.institutions))
+    kept = np.flatnonzero(counts >= profile.publication_threshold)
+    return set(map(records.institutions.__getitem__, kept.tolist()))
+
+
+# citation pairs expanded per block: the int64 temporaries of one block stay
+# a few MB however many pairs the records make
+_BLOCK_PAIRS = 1 << 18
+
+
+def _citation_pairs(
+    records: RecordTable, node_of: np.ndarray, keep_self_loops: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Citing and cited node of every citation pair, one pair per citation.
+
+    node_of maps an institution position to its node, or to -1 when the
+    institution is not retained.
+    """
+    n = len(records)
+    # retained citing affiliations, grouped by record
+    citing = node_of[records.affiliations]
+    kept = citing >= 0
+    per_record = np.bincount(
+        np.repeat(np.arange(n), np.diff(records.affiliation_offsets))[kept], minlength=n + 1
+    )  # row n stands for "no record" and has none
+    citing = citing[kept]
+    citing_start = _offsets(per_record)[:-1]
+
+    # retained cited affiliations of references inside the set, with their citing record
+    citing_row = np.repeat(np.arange(n), np.diff(records.reference_offsets))
+    citing_row[records.cited < 0] = n
+    citing_row = np.repeat(citing_row, np.diff(records.reference_affiliation_offsets))
+    cited = node_of[records.reference_affiliations]
+    kept = (cited >= 0) & (per_record[citing_row] > 0)
+    cited, citing_row = cited[kept], citing_row[kept]
+    del kept
+
+    # each cited affiliation pairs with every citing one of its record
+    ends = np.cumsum(per_record[citing_row])
+    total = int(ends[-1]) if ends.size else 0
+    source = np.empty(total, dtype=np.int64)
+    target = np.empty(total, dtype=np.int64)
+    blocks = np.searchsorted(ends, range(_BLOCK_PAIRS, total, _BLOCK_PAIRS), side="right")
+    cuts = [0, *blocks.tolist(), ends.size]
+    size = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:  # one affiliation made more than a block of pairs
+            continue
+        rows = citing_row[lo:hi]
+        count = per_record[rows]
+        first = ends[lo:hi] - count  # number of each cited affiliation's first pair
+        shift = np.repeat(citing_start[rows] - first, count)
+        src = citing[shift + np.arange(first[0], ends[hi - 1])]
+        dst = np.repeat(cited[lo:hi], count)
+        if not keep_self_loops:
+            cross = src != dst
+            src, dst = src[cross], dst[cross]
+        source[size : size + src.size] = src
+        target[size : size + dst.size] = dst
+        size += src.size
+    return source[:size], target[:size]
 
 
 def build_network(
-    records: Sequence[PublicationRecord],
+    records: RecordTable,
     retained: set[str],
     keep_self_loops: bool = False,
 ) -> CitationNetwork:
@@ -270,27 +486,10 @@ def build_network(
     if not retained:
         raise InputError("retained institution set is empty; nothing to build")
     nodes = tuple(sorted(retained))
-    index = {inst: k for k, inst in enumerate(nodes)}
-    dataset_ids = {rec.pub_id for rec in records}
-    sources: list[int] = []
-    targets: list[int] = []
-    for rec in records:
-        citing = [index[a] for a in rec.affiliations if a in index]
-        if not citing:
-            continue
-        for ref_id, ref_affiliations in rec.references:
-            if ref_id not in dataset_ids:
-                continue
-            cited = [index[b] for b in ref_affiliations if b in index]
-            for a in citing:
-                sources.extend([a] * len(cited))
-                targets.extend(cited)
-    # each list is freed as soon as its array exists, to keep the peak low
-    source = np.array(sources, dtype=np.int64)
-    del sources
-    target = np.array(targets, dtype=np.int64)
-    del targets
-    if not keep_self_loops:
-        kept = source != target
-        source, target = source[kept], target[kept]
-    return CitationNetwork.build(nodes, source, target, np.ones(source.size, dtype=np.int64))
+    node_of = np.full(len(records.institutions), -1, dtype=np.int64)
+    for k, inst in enumerate(nodes):
+        position = records.institution_index.get(inst)
+        if position is not None:
+            node_of[position] = k
+    source, target = _citation_pairs(records, node_of, keep_self_loops)
+    return CitationNetwork.build(nodes, source, target, np.broadcast_to(np.int64(1), source.size))

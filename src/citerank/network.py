@@ -23,8 +23,8 @@ __all__ = ["CitationNetwork", "DegreeReport", "in_degree", "degree_report"]
 INT64_MAX = 2**63 - 1
 
 
-def _int64(values, what: str) -> np.ndarray:
-    """A new int64 array of values; InputError unless each is an int64 integer."""
+def _int64(values, what: str, copy: bool) -> np.ndarray:
+    """values as an int64 array, a new one if copy; InputError unless each is an int64 integer."""
     arr = np.asarray(values)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -38,14 +38,14 @@ def _int64(values, what: str) -> np.ndarray:
         raise InputError(f"{what} must be integers, got {arr.dtype}")
     if arr.dtype.kind != "i" and (arr.min() < -INT64_MAX - 1 or arr.max() > INT64_MAX):
         raise InputError(f"{what} beyond the int64 range")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=copy)
 
 
-def _edge_columns(source, target, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edge_columns(source, target, weight, copy: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns = (
-        _int64(source, "source indices"),
-        _int64(target, "target indices"),
-        _int64(weight, "edge weights"),
+        _int64(source, "source indices", copy),
+        _int64(target, "target indices", copy),
+        _int64(weight, "edge weights", copy),
     )
     if len({c.size for c in columns}) > 1:
         raise InputError("source, target and weight must have one length")
@@ -67,6 +67,11 @@ def _check_edges(n: int, source, target, weight) -> None:
     if bad.any():
         i, j, w = _first(bad, source, target, weight)
         raise InputError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
+
+
+def _check_unique(ids: tuple[str, ...]) -> None:
+    if len(set(ids)) != len(ids):
+        raise InputError("node identifiers must be unique")
 
 
 def _check_total(weight: np.ndarray) -> None:
@@ -97,13 +102,16 @@ class CitationNetwork:
     def __post_init__(self) -> None:
         ids = tuple(self.node_ids)
         n = len(ids)
-        if len(set(ids)) != n:
-            raise InputError("node identifiers must be unique")
-        source, target, weight = _edge_columns(self.source, self.target, self.weight)
+        _check_unique(ids)
+        source, target, weight = _edge_columns(self.source, self.target, self.weight, copy=True)
         _check_edges(n, source, target, weight)
         keys = source * n + target
         if np.any(keys[1:] <= keys[:-1]):
             raise InputError("edges must be distinct and sorted by (source, target)")
+        self._freeze(ids, source, target, weight)
+
+    def _freeze(self, ids: tuple[str, ...], source, target, weight) -> None:
+        """Set the fields to arrays no caller holds, after the total-weight check."""
         _check_total(weight)
         for name, arr in (("source", source), ("target", target), ("weight", weight)):
             arr.setflags(write=False)
@@ -114,28 +122,38 @@ class CitationNetwork:
     def build(cls, node_ids: Iterable[str], source, target, weight) -> "CitationNetwork":
         """Assemble a network from (source[k], target[k], weight[k]) index triples.
 
-        Pairs may come in any order and repeat; repeats add up.
+        Pairs may come in any order and repeat; repeats add up. The input
+        arrays are read, never kept or written: the network's arrays are new.
         """
         ids = tuple(node_ids)
         n = len(ids)
-        source, target, weight = _edge_columns(source, target, weight)
+        source, target, weight = _edge_columns(source, target, weight, copy=False)
         _check_edges(n, source, target, weight)
-        keys = source * n + target
-        order = np.argsort(keys)  # integer sums do not depend on the order of repeats
-        keys, weight = keys[order], weight[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # first of each run of equal keys
-        if weight.size and int(weight.max()) > INT64_MAX // weight.size:
-            # a sum may pass int64: add in Python ints first
-            exact = np.add.reduceat(weight.astype(object), starts)
-            over = np.flatnonzero(exact > INT64_MAX)
-            if over.size:
-                i, j = divmod(int(keys[starts[over[0]]]), n)
-                raise InputError(
-                    f"edge ({i}, {j}) from {ids[i]!r} to {ids[j]!r} has total weight "
-                    f"{exact[over[0]]}, beyond the int64 range"
-                )
-        keys, weight = keys[starts], np.add.reduceat(weight, starts)
-        return cls(ids, keys // n, keys % n, weight)
+        keys = source * n
+        keys += target
+        del source, target
+        if weight.size == 0 or int(weight.max()) == 1:  # weights are positive: all are 1
+            keys, weight = np.unique(keys, return_counts=True)
+        else:
+            order = np.argsort(keys)  # integer sums do not depend on the order of repeats
+            keys, weight = keys[order], weight[order]
+            del order
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))  # first of each run of equal keys
+            if int(weight.max()) > INT64_MAX // weight.size:
+                # a sum may pass int64: add in Python ints first
+                exact = np.add.reduceat(weight.astype(object), starts)
+                over = np.flatnonzero(exact > INT64_MAX)
+                if over.size:
+                    i, j = divmod(int(keys[starts[over[0]]]), n)
+                    raise InputError(
+                        f"edge ({i}, {j}) from {ids[i]!r} to {ids[j]!r} has total weight "
+                        f"{exact[over[0]]}, beyond the int64 range"
+                    )
+            keys, weight = keys[starts], np.add.reduceat(weight, starts)
+        _check_unique(ids)
+        net = object.__new__(cls)  # the other checks of __post_init__ hold by construction
+        net._freeze(ids, keys // n, keys % n, weight.astype(np.int64, copy=False))
+        return net
 
     @classmethod
     def from_edges(

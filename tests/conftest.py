@@ -1,10 +1,13 @@
 import csv
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from citerank import CitationNetwork, DanglingPolicy, PageRankConfig
-from citerank.errors import CiteRankError, EmptyNetworkError, TableFormatError
+from citerank import CitationNetwork, DanglingPolicy, PageRankConfig, PublicationRecord
+from citerank.errors import CiteRankError, EmptyNetworkError, InputError, ParseError, TableFormatError
+from citerank.ingest import ParseIssue, ParseResult
 from citerank.network import INT64_MAX
 
 ORACLE_MAX_NODES = 200
@@ -150,3 +153,126 @@ def reference_write_edge_list(net: CitationNetwork, path) -> None:
         out = csv.writer(handle)
         out.writerow(["source", "target", "weight"])
         out.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# Per-record ingest references: parse_records fills a columnar RecordTable,
+# and filter_records, apply_threshold and build_network work on its arrays;
+# they must give the same issues, records, retained sets and networks as
+# these versions, which handle one record and one reference at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_institutions(names, what: str) -> tuple[str, ...]:
+    """Distinct canonical ids of a JSON affiliation list, in first-seen order."""
+    if not isinstance(names, list):
+        raise ValueError(f"{what} must be a list of strings")
+    ids: list[str] = []
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{what} must be a list of strings")
+        canon = name.strip().casefold()
+        if canon and canon not in ids:
+            ids.append(canon)
+    return tuple(ids)
+
+
+def _reference_parse_line(line: str) -> PublicationRecord:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer literal past the interpreter's digit limit
+        raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError as exc:  # nested deeper than the recursion limit
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    pub_id = obj.get("pub_id")
+    if not isinstance(pub_id, str) or not pub_id.strip():
+        raise ValueError("pub_id must be a non-empty string")
+    year = obj.get("year")
+    if not isinstance(year, int) or isinstance(year, bool):
+        raise ValueError("year must be an integer")
+    category = obj.get("category")
+    if not isinstance(category, str) or not category.strip():
+        raise ValueError("category must be a non-empty string")
+    affiliations = _reference_institutions(obj.get("affiliations"), "affiliations")
+    if not affiliations:
+        raise ValueError("affiliations must be non-empty")
+    raw_refs = obj.get("references")
+    if not isinstance(raw_refs, list):
+        raise ValueError("references must be a list")
+    references = []
+    for ref in raw_refs:
+        if not isinstance(ref, dict):
+            raise ValueError("each reference must be an object")
+        ref_id = ref.get("pub_id")
+        if ref_id is not None and not isinstance(ref_id, str):
+            raise ValueError("reference pub_id must be a string or null")
+        ref_affiliations = _reference_institutions(ref.get("affiliations"), "reference affiliations")
+        references.append((ref_id if ref_id is None else ref_id.strip(), ref_affiliations))
+    return PublicationRecord(pub_id.strip(), year, category.strip(), affiliations, tuple(references))
+
+
+def reference_parse_records(stream, strict: bool = False) -> ParseResult:
+    """ParseResult whose records are a list of PublicationRecord, parsed line by line."""
+    records: list[PublicationRecord] = []
+    issues: list[ParseIssue] = []
+    first_line_of: dict[str, int] = {}
+    for line_no, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = _reference_parse_line(line)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            first = first_line_of.setdefault(record.pub_id, line_no)
+            if first == line_no:
+                records.append(record)
+                continue
+            message = f"duplicate pub_id {record.pub_id!r} (first seen on line {first})"
+        if strict:
+            raise ParseError(f"line {line_no}: {message}")
+        issues.append(ParseIssue(line_no, message))
+    return ParseResult(records, issues)
+
+
+def reference_filter_records(records, profile) -> list[PublicationRecord]:
+    category = profile.category.strip().casefold()
+    low, high = profile.year_range
+    return [
+        rec
+        for rec in records
+        if rec.category.strip().casefold() == category and low <= rec.year <= high
+    ]
+
+
+def reference_apply_threshold(records, profile) -> set[str]:
+    counts: Counter[str] = Counter()
+    for rec in records:
+        counts.update(rec.affiliations)
+    return {inst for inst, n in counts.items() if n >= profile.publication_threshold}
+
+
+def reference_build_network(records, retained: set[str], keep_self_loops: bool = False) -> CitationNetwork:
+    """One weight-1 pair per (citing, cited) retained affiliation of each reference inside the set."""
+    if not retained:
+        raise InputError("retained institution set is empty; nothing to build")
+    nodes = tuple(sorted(retained))
+    index = {inst: k for k, inst in enumerate(nodes)}
+    dataset_ids = {rec.pub_id for rec in records}
+    sources: list[int] = []
+    targets: list[int] = []
+    for rec in records:
+        citing = [index[a] for a in rec.affiliations if a in index]
+        for ref_id, ref_affiliations in rec.references:
+            if ref_id not in dataset_ids:
+                continue
+            for a in citing:
+                for b in ref_affiliations:
+                    if b in index and (keep_self_loops or a != index[b]):
+                        sources.append(a)
+                        targets.append(index[b])
+    return CitationNetwork.build(nodes, sources, targets, [1] * len(sources))

@@ -145,6 +145,21 @@ def test_profiles_via_env_var(tmp_path, monkeypatch):
     assert json.loads((out / "summary.json").read_text())["nodes"] == 4
 
 
+@pytest.mark.parametrize("year", [10**30, -(10**30)])
+def test_build_keeps_a_year_beyond_int64_out_of_the_window(tmp_path, year):
+    far = json.dumps({"pub_id": "FAR", "year": year, "category": "Telecommunications",
+                      "affiliations": ["Uni-A"],
+                      "references": [{"pub_id": "P01", "affiliations": ["Uni-A"]}]})
+    path = tmp_path / "records.jsonl"
+    path.write_text(RECORDS.read_text() + far + "\n")
+    out = tmp_path / "o"
+    assert main(["build", str(path), "--subject", "TEL", "--threshold", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["records_parsed"], summary["records_used"]) == (21, 20)
+    assert summary["citations"] == MANIFEST["total_weight"]
+    assert not (out / "parse_issues.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # pagerank
 # ---------------------------------------------------------------------------
@@ -718,3 +733,31 @@ def test_cli_chain_runs_without_scipy(tmp_path):
     report = json.loads((out / "cmp" / "report.json").read_text())
     assert 0.0 <= report["pearson"]["p"] <= 1.0
     assert "PUB" in report["partial"]
+
+
+_TABLE = "institution,a,b\ni1,1.0,2.0\ni2,2.0,1.5\ni3,3.0,4.0\ni4,4.5,3.0\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["compare", "{}", "--col-a", "a", "--col-b", "b"], _TABLE),
+    (["pca", "--table", "{}", "--retain", "1"], _TABLE),
+    (["pagerank", "{}"], "source,target,weight\na,b,1\nb,c,2\nc,a,1\n"),
+    (["build", "{}", "--subject", "TEL", "--threshold", "3"], RECORDS.read_text(encoding="utf-8")),
+], ids=["compare", "pca-table", "pagerank", "build"])
+def test_input_starting_with_a_utf8_bom_reads_as_without(tmp_path, argv, text):
+    # spreadsheet programs save "CSV UTF-8" with a byte order mark in front
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / f"{name}.in"
+        path.write_bytes(data)
+        out = tmp_path / name
+        assert main([arg.format(path) for arg in argv] + ["--out", str(out)]) == 0
+        outputs.append({k: v for k, v in _tree_bytes(out).items() if k.name != "manifest.json"})
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_bad_row_after_a_utf8_bom_names_its_line(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + b"institution,a,b\ni1,1.0,2.0\ni2,x,1.5\n")
+    assert main(["compare", str(path), "--col-a", "a", "--col-b", "b", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: bad number 'x' in column 'a'\n"

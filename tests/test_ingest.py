@@ -2,7 +2,9 @@ import gc
 import io
 import json
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from citerank import (
@@ -14,10 +16,17 @@ from citerank import (
     load_profiles,
     parse_records,
 )
+from citerank import ingest
 from citerank.errors import InputError, ParseError
 from citerank.fileio import bundled_data
 
-from conftest import weight_dict
+from conftest import (
+    reference_apply_threshold,
+    reference_build_network,
+    reference_filter_records,
+    reference_parse_records,
+    weight_dict,
+)
 
 
 def _line(pub_id, year=2012, category="Telecommunications", affils=("Uni-A",), refs=()):
@@ -501,12 +510,166 @@ def test_fixture_total_weight_matches_brute_force(fixture_records, fixture_manif
     assert total == fixture_manifest["total_weight"]
 
 
-def test_parsed_references_leave_the_cycle_collector(fixture_records):
-    # a collection untracks a tuple whose items are all untracked, so the
-    # affiliation tuples go in the first pass and the references by the
-    # second; a per-reference object would stay on the collector's lists
-    gc.collect()
-    gc.collect()
-    refs = [ref for rec in fixture_records for ref in rec.references]
-    assert refs and all(type(ref) is tuple for ref in refs)
-    assert not any(gc.is_tracked(ref) for ref in refs)
+def test_parsed_references_add_no_tracked_objects():
+    # references live in arrays, not in one object each: repeating every
+    # record's references 50 times leaves the cyclic GC no more to track
+    lines = bundled_data("sample_records.jsonl").read_text(encoding="utf-8").splitlines()
+    objs = [json.loads(line) for line in lines]
+    repeated = [json.dumps({**obj, "references": obj["references"] * 50}) for obj in objs]
+
+    def tracked_after_parse(source):
+        result = parse_records(source, strict=True)
+        gc.collect()
+        return len(gc.get_objects()), result
+
+    tracked_after_parse(lines)  # first calls may cache what later ones reuse
+    base, result = tracked_after_parse(lines)
+    references = len(result.records.reference_ids)
+    del result
+    grown, result = tracked_after_parse(repeated)
+    assert references and len(result.records.reference_ids) == 50 * references
+    assert grown <= base
+
+
+# ---------------------------------------------------------------------------
+# The record table against the per-record reference pipeline
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("year", [10**30, -(10**30)])
+def test_year_beyond_int64_parses_and_misses_every_window(year):
+    res = _parse([_line("p1", year=year), _line("p2", affils=("B",), refs=[("p1", ("A",))])])
+    assert not res.issues
+    assert res.records[0].year == year and type(res.records[0].year) is int
+    for profile in default_profiles().values():
+        kept = filter_records(res.records, replace(profile, category="Telecommunications"))
+        assert [r.pub_id for r in kept] == ["p2"]
+    # years compare as Python ints, so a window reaching the year holds it
+    wide = replace(_profile(), year_range=(min(year, 2012), max(year, 2012)))
+    assert [r.pub_id for r in filter_records(res.records, wide)] == ["p1", "p2"]
+    assert list(filter_records(res.records, wide)) == reference_filter_records(list(res.records), wide)
+
+
+@pytest.mark.parametrize("keep_self_loops, expected", [
+    (False, {("a", "b"): 1, ("b", "a"): 1}),
+    (True, {("a", "a"): 1, ("a", "b"): 1, ("b", "a"): 1, ("b", "b"): 1}),
+])
+def test_reference_to_its_own_record_counts(keep_self_loops, expected):
+    lines = [_line("p1", affils=("A", "B"), refs=[(" p1 ", ("B", "A"))])]
+    res = _parse(lines)
+    assert res.records[0].references == (("p1", ("b", "a")),)
+    assert res.records.cited.tolist() == [0]
+    net = build_network(res.records, {"a", "b"}, keep_self_loops=keep_self_loops)
+    actual = {(net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()}
+    assert actual == expected
+    assert net == reference_build_network(list(res.records), {"a", "b"}, keep_self_loops)
+
+
+def test_record_table_is_a_read_only_sequence():
+    lines = [
+        _line("p1", affils=("A", " b "), refs=[("p2", ("B",)), (None, ())]),
+        _line("p2", affils=("B",), refs=[]),
+        _line("p3", year=2015, affils=("C",), refs=[("p1", ("A", "C"))]),
+    ]
+    table = _parse(lines).records
+    records = reference_parse_records(lines).records
+    assert len(table) == 3 and bool(table)
+    assert list(table) == [table[0], table[1], table[2]] == records
+    assert table[-1] == records[-1] and table[1:] == records[1:]
+    assert type(table[0].year) is int and type(table[0].pub_id) is str
+    with pytest.raises(IndexError):
+        table[3]
+    for name in ("affiliations", "cited", "reference_affiliations", "pub_ids", "reference_ids"):
+        with pytest.raises(ValueError):
+            getattr(table, name)[0] = 0
+    assert table.cited.tolist() == [1, -1, 0]
+    assert filter_records(table, replace(_profile(), year_range=(2000, 2020))) is table
+    sub = filter_records(table, _profile())
+    assert [r.pub_id for r in sub] == ["p1", "p2"]
+    assert sub.cited.tolist() == [1, -1]
+
+
+def test_record_table_pipeline_matches_per_record_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spellings = ["A", " a ", "B", "b ", "C", "  ", "D"]
+    affils = st.lists(st.sampled_from(spellings), max_size=3)
+    # references to records (padded or not), outside the set (p9), or without an id;
+    # a record citing its own id is drawn like any other
+    ref = st.tuples(st.sampled_from(["p0", "p1", " p2 ", "p3", "P1", "p9", None]), affils)
+    # record k is p{k}, padded or upper-cased, or repeats p0
+    record = st.tuples(
+        st.sampled_from(["p{}", " p{} ", "P{}", "p0"]),
+        st.sampled_from([2012, 2010, 2014, 2009, 2015, 10**30, -(10**30)]),
+        st.sampled_from(["Telecommunications", " telecommunications", "TELECOMMUNICATIONS", "Other"]),
+        affils,
+        st.lists(ref, max_size=3),
+    )
+    malformed = st.sampled_from([
+        "", "  ", "{broken", "[1]", _record(year="2012"), _record(affiliations=[]),
+        _record(refs=[_ref(), "p1"]), _record(refs=[_ref(affiliations=[1])]),
+        _record(refs=[_ref(pub_id=5)]),
+    ])
+    rows = st.lists(st.one_of(record, record, record, malformed), min_size=1, max_size=8)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(rows, st.integers(1, 2), st.booleans(), st.booleans())
+    def check(rows, threshold, keep_self_loops, strict):
+        lines = [
+            row if isinstance(row, str)
+            else _line(row[0].format(k), year=row[1], category=row[2], affils=row[3], refs=row[4])
+            for k, row in enumerate(rows)
+        ]
+        text = "\n".join(lines) + "\n"
+        try:
+            expected = reference_parse_records(io.StringIO(text), strict=strict)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                parse_records(io.StringIO(text), strict=strict)
+            assert str(raised.value) == str(exc)
+            return
+        parsed = parse_records(io.StringIO(text), strict=strict)
+        assert parsed.issues == expected.issues
+        assert list(parsed.records) == expected.records
+        profile = _profile(threshold=threshold)
+        pairs = [(parsed.records, expected.records)]  # unfiltered, as a library caller may pass
+        pairs.append((filter_records(parsed.records, profile),
+                      reference_filter_records(expected.records, profile)))
+        assert list(pairs[1][0]) == pairs[1][1]
+        for table, records in pairs:
+            retained = apply_threshold(table, profile)
+            assert retained == reference_apply_threshold(records, profile)
+            for nodes in (retained, retained | {"zz"}):  # an id no record lists
+                if not nodes:
+                    with pytest.raises(InputError):
+                        build_network(table, nodes, keep_self_loops)
+                    continue
+                net = build_network(table, nodes, keep_self_loops)
+                assert net == reference_build_network(records, nodes, keep_self_loops)
+
+    check()
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 1 << 18])
+def test_pair_expansion_in_blocks_matches_reference(monkeypatch, block_pairs):
+    # blocks smaller than one record's pairs, a few pairs, and the default size
+    monkeypatch.setattr(ingest, "_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(12)
+    names = [f"U{k}" for k in range(12)]
+    lines = []
+    for k in range(120):
+        refs = [
+            (f"p{rng.integers(0, 140)}", tuple(rng.choice(names, size=rng.integers(0, 5))))
+            for _ in range(rng.integers(0, 6))
+        ]
+        affils = tuple(rng.choice(names, size=rng.integers(1, 9)))
+        lines.append(_line(f"p{k}", year=int(rng.choice([2009, 2012])), affils=affils, refs=refs))
+    parsed, expected = _parse(lines), reference_parse_records(lines)
+    profile = _profile(threshold=3)
+    table = filter_records(parsed.records, profile)
+    records = reference_filter_records(expected.records, profile)
+    retained = apply_threshold(table, profile)
+    for keep_self_loops in (False, True):
+        net = build_network(table, retained, keep_self_loops)
+        assert net == reference_build_network(records, retained, keep_self_loops)
+        assert net.total_weight > 100

@@ -101,6 +101,34 @@ def test_build_does_not_alias_caller_arrays():
     assert weight.flags.writeable
 
 
+@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [1, 2, 1, 3]])  # the unit-weight path and the general one
+@pytest.mark.parametrize("make", ["build", "constructor"])
+def test_network_shares_no_buffer_with_its_caller(make, weights):
+    source = np.array([0, 0, 1, 2], dtype=np.int64)
+    target = np.array([1, 2, 2, 0], dtype=np.int64)
+    weight = np.array(weights, dtype=np.int64)
+    inputs = [source, target, weight]
+    copies = [a.copy() for a in inputs]
+    if make == "build":
+        net = CitationNetwork.build(("a", "b", "c"), source[::-1], target[::-1], weight[::-1])
+    else:
+        net = CitationNetwork(("a", "b", "c"), source, target, weight)
+    for arr in (net.source, net.target, net.weight):
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, given) for given in inputs)
+    assert all(a.flags.writeable and np.array_equal(a, c) for a, c in zip(inputs, copies))
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
+    assert weight_dict(net) == dict(zip(pairs, weights))
+
+
+def test_build_counts_repeated_unit_pairs():
+    # unit weights are counted per pair; a read-only, broadcast weight column is read as given
+    source, target = np.array([2, 0, 2, 0, 2]), np.array([1, 1, 1, 1, 1])
+    net = CitationNetwork.build(("a", "b", "c"), source, target, np.broadcast_to(np.int64(1), 5))
+    assert weight_dict(net) == {(0, 1): 2, (2, 1): 3}
+    assert net.weight.dtype == np.int64
+
+
 def test_constructor_rejects_unsorted_or_repeated_pairs():
     with pytest.raises(ValueError, match="sorted"):
         CitationNetwork(("a", "b"), [1, 0], [0, 1], [1, 1])
