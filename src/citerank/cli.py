@@ -122,18 +122,18 @@ def _cmd_build(args) -> int:
     if not parsed.records:
         raise InputError("no records parsed from input")
 
-    records = ingest.filter_records(parsed.records, profile)
-    if not records:
+    rows = ingest.filter_records(parsed.records, profile)
+    if not rows.any():
         raise InputError(
             f"no records match subject {profile.name!r} "
             f"(category {profile.category!r}, years {profile.year_range})"
         )
-    retained = ingest.apply_threshold(records, profile)
+    retained = ingest.apply_threshold(parsed.records, rows, profile)
     if not retained:
         raise InputError(
             f"no institution reaches the publication threshold {profile.publication_threshold}"
         )
-    net = ingest.build_network(records, retained, keep_self_loops=args.self_loops)
+    net = ingest.build_network(parsed.records, rows, retained, keep_self_loops=args.self_loops)
 
     report = network.degree_report(net)
     fileio.write_edge_list(net, out / "edges.csv")
@@ -146,7 +146,7 @@ def _cmd_build(args) -> int:
             "citations": net.total_weight,
             "edges": net.n_edges,
             "self_loops_included": args.self_loops,
-            "records_used": len(records),
+            "records_used": int(rows.sum()),
             "records_parsed": len(parsed.records),
         },
         out / "summary.json",

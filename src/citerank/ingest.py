@@ -13,8 +13,12 @@ composite scoring.
 
 parse_records reads every line once into a RecordTable: per-record columns,
 and int64 arrays of institution positions and cited-record rows.
-filter_records, apply_threshold and build_network then work on those arrays
-with numpy, never on one Python object per reference.
+filter_records selects a subject's records as a bool row mask, never a
+copy, and apply_threshold and build_network read the table through it with
+numpy, never one Python object per reference:
+
+    rows = filter_records(table, profile)
+    net = build_network(table, rows, apply_threshold(table, rows, profile))
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ class SubjectProfile:
     indicator_weights: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "year_range", tuple(self.year_range))
+        years = tuple(self.year_range) if isinstance(self.year_range, (tuple, list)) else ()
+        if len(years) != 2 or not all(isinstance(y, int) and not isinstance(y, bool) for y in years):
+            raise InputError(f"year range must be two integers in profile {self.name!r}")
+        object.__setattr__(self, "year_range", years)
         weights = dict(self.indicator_weights)
         unknown = set(weights) - set(INDICATORS)
         if unknown:
@@ -85,7 +92,7 @@ class SubjectProfile:
             raise InputError(f"profile {self.name!r} needs at least one positive weight")
         if self.publication_threshold < 1:
             raise InputError(f"publication threshold must be >= 1 in profile {self.name!r}")
-        if self.year_range[0] > self.year_range[1]:
+        if years[0] > years[1]:
             raise InputError(f"year range is reversed in profile {self.name!r}")
         object.__setattr__(self, "indicator_weights", weights)
 
@@ -107,7 +114,7 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
     year_range ([start, end]) and indicator_weights; threshold and
     year_range may be omitted.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -121,7 +128,7 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
                 name=entry["name"],
                 category=entry["category"],
                 publication_threshold=int(entry.get("threshold", 1)),
-                year_range=tuple(entry.get("year_range", (2010, 2014))),
+                year_range=entry.get("year_range", (2010, 2014)),
                 indicator_weights={k: int(v) for k, v in entry.get("indicator_weights", {}).items()},
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -141,14 +148,6 @@ def _offsets(counts) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
-
-
-def _take_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the given rows of a ragged column, and the positions of their values."""
-    starts = offsets[rows]
-    counts = offsets[rows + 1] - starts
-    taken = _offsets(counts)
-    return taken, np.repeat(starts - taken[:-1], counts) + np.arange(taken[-1])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -360,52 +359,38 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     return ParseResult(table, issues)
 
 
-def filter_records(records: RecordTable, profile: SubjectProfile) -> RecordTable:
-    """The records matching the profile's category and year window, as a table.
+def filter_records(records: RecordTable, profile: SubjectProfile) -> np.ndarray:
+    """Row mask of the records matching the profile's category and year window.
 
-    Cited rows are renumbered into the new table; a reference to a record
-    left out cites nothing in it (-1). When every record matches, the table
-    itself is returned.
+    apply_threshold and build_network take the mask and read only its rows;
+    the table itself is never copied.
     """
     category = profile.category.strip().casefold()
     low, high = profile.year_range
     keep = (records.years >= low) & (records.years <= high)  # Python ints: any size compares
     keep &= np.fromiter((c.casefold() == category for c in records.categories), bool, len(records))
-    if keep.all():
-        return records
-    pick = np.flatnonzero(keep)
-    affiliation_offsets, affiliations = _take_rows(records.affiliation_offsets, pick)
-    reference_offsets, references = _take_rows(records.reference_offsets, pick)
-    # a record's reference affiliations are one run too: take them by record
-    ends = records.reference_affiliation_offsets
-    _, reference_affiliations = _take_rows(ends[records.reference_offsets], pick)
-    reference_affiliation_offsets = _offsets(ends[references + 1] - ends[references])
-    renumber = np.full(len(records) + 1, -1, dtype=np.int64)  # the last entry keeps -1 at -1
-    renumber[pick] = np.arange(pick.size)
-    return RecordTable(
-        records.pub_ids[pick],
-        records.years[pick],
-        records.categories[pick],
-        records.institutions,
-        records.institution_index,
-        affiliation_offsets,
-        records.affiliations[affiliations],
-        reference_offsets,
-        records.reference_ids[references],
-        renumber[records.cited[references]],
-        reference_affiliation_offsets,
-        records.reference_affiliations[reference_affiliations],
-    )
+    return keep
 
 
-def apply_threshold(records: RecordTable, profile: SubjectProfile) -> set[str]:
-    """Institutions whose publication count reaches the profile threshold.
+def _row_mask(records: RecordTable, rows) -> np.ndarray:
+    """rows as a bool array with one entry per record of the table; InputError for anything else."""
+    rows = np.asarray(rows)
+    if rows.dtype != bool or rows.shape != (len(records),):
+        raise InputError(
+            f"rows must be a 1-D bool mask of the table's {len(records)} records, "
+            f"not a {rows.dtype} array of shape {rows.shape}"
+        )
+    return rows
 
-    Expects records already filtered to the profile's category and years.
+
+def apply_threshold(records: RecordTable, rows: np.ndarray, profile: SubjectProfile) -> set[str]:
+    """Institutions whose publication count in the masked rows reaches the profile threshold.
+
     A publication counts once toward each of its listed affiliations; the
     threshold comparison is inclusive (count >= threshold retains).
     """
-    counts = np.bincount(records.affiliations, minlength=len(records.institutions))
+    listed = np.repeat(_row_mask(records, rows), np.diff(records.affiliation_offsets))
+    counts = np.bincount(records.affiliations[listed], minlength=len(records.institutions))
     kept = np.flatnonzero(counts >= profile.publication_threshold)
     return set(map(records.institutions.__getitem__, kept.tolist()))
 
@@ -416,26 +401,26 @@ _BLOCK_PAIRS = 1 << 18
 
 
 def _citation_pairs(
-    records: RecordTable, node_of: np.ndarray, keep_self_loops: bool
+    records: RecordTable, rows: np.ndarray, node_of: np.ndarray, keep_self_loops: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Citing and cited node of every citation pair, one pair per citation.
+    """Citing and cited node of every citation pair of the masked rows, one pair per citation.
 
     node_of maps an institution position to its node, or to -1 when the
     institution is not retained.
     """
     n = len(records)
-    # retained citing affiliations, grouped by record
+    # retained citing affiliations of kept rows, grouped by record
     citing = node_of[records.affiliations]
-    kept = citing >= 0
-    per_record = np.bincount(
-        np.repeat(np.arange(n), np.diff(records.affiliation_offsets))[kept], minlength=n + 1
-    )  # row n stands for "no record" and has none
+    owner = np.repeat(np.arange(n), np.diff(records.affiliation_offsets))
+    kept = (citing >= 0) & rows[owner]
+    # row n stands for "no record" and has none
+    per_record = np.bincount(owner[kept], minlength=n + 1)
     citing = citing[kept]
     citing_start = _offsets(per_record)[:-1]
 
-    # retained cited affiliations of references inside the set, with their citing record
+    # retained cited affiliations of references to kept rows, with their citing record
     citing_row = np.repeat(np.arange(n), np.diff(records.reference_offsets))
-    citing_row[records.cited < 0] = n
+    citing_row[~np.append(rows, False)[records.cited]] = n  # cited -1 reads the appended False
     citing_row = np.repeat(citing_row, np.diff(records.reference_affiliation_offsets))
     cited = node_of[records.reference_affiliations]
     kept = (cited >= 0) & (per_record[citing_row] > 0)
@@ -453,10 +438,10 @@ def _citation_pairs(
     for lo, hi in zip(cuts, cuts[1:]):
         if lo == hi:  # one affiliation made more than a block of pairs
             continue
-        rows = citing_row[lo:hi]
-        count = per_record[rows]
+        citers = citing_row[lo:hi]
+        count = per_record[citers]
         first = ends[lo:hi] - count  # number of each cited affiliation's first pair
-        shift = np.repeat(citing_start[rows] - first, count)
+        shift = np.repeat(citing_start[citers] - first, count)
         src = citing[shift + np.arange(first[0], ends[hi - 1])]
         dst = np.repeat(cited[lo:hi], count)
         if not keep_self_loops:
@@ -470,19 +455,21 @@ def _citation_pairs(
 
 def build_network(
     records: RecordTable,
+    rows: np.ndarray,
     retained: set[str],
     keep_self_loops: bool = False,
 ) -> CitationNetwork:
-    """Aggregate cross-citations among retained institutions into a network.
+    """Aggregate cross-citations of the masked rows among retained institutions into a network.
 
-    Only references whose cited publication is itself part of the record set
-    contribute. Each such reference adds weight 1 for every (citing
+    Only references from a kept row whose cited publication is itself a kept
+    row contribute. Each such reference adds weight 1 for every (citing
     affiliation, cited affiliation) pair with both sides retained; same-
     institution pairs are dropped unless keep_self_loops is set. All
     retained institutions appear as nodes, edges or not, and the result is
     independent of record order. This is the one place that decides whether
     self-citations count: the network stores whatever edges it is given.
     """
+    rows = _row_mask(records, rows)
     if not retained:
         raise InputError("retained institution set is empty; nothing to build")
     nodes = tuple(sorted(retained))
@@ -491,5 +478,5 @@ def build_network(
         position = records.institution_index.get(inst)
         if position is not None:
             node_of[position] = k
-    source, target = _citation_pairs(records, node_of, keep_self_loops)
+    source, target = _citation_pairs(records, rows, node_of, keep_self_loops)
     return CitationNetwork.build(nodes, source, target, np.broadcast_to(np.int64(1), source.size))

@@ -234,9 +234,9 @@ def test_criterion_5_ingestion_fixture():
         year_range=tuple(manifest["year_range"]),
         indicator_weights={"PUB": 1},
     )
-    filtered = filter_records(records, profile)
-    retained = apply_threshold(filtered, profile)
-    net = build_network(filtered, retained)
+    rows = filter_records(records, profile)
+    retained = apply_threshold(records, rows, profile)
+    net = build_network(records, rows, retained)
 
     edges = sorted([net.node_ids[i], net.node_ids[j], w] for (i, j), w in weight_dict(net).items())
     ok = (
@@ -252,7 +252,7 @@ def test_criterion_5_ingestion_fixture():
         profile_t = SubjectProfile(
             "t", manifest["category"], publication_threshold=t, indicator_weights={"PUB": 1}
         )
-        kept = apply_threshold(filtered, profile_t)
+        kept = apply_threshold(records, rows, profile_t)
         expected = manifest["retained_count_by_threshold"][str(t)]
         ok &= len(kept) == expected
         if previous is not None:

@@ -145,6 +145,31 @@ def test_profiles_via_env_var(tmp_path, monkeypatch):
     assert json.loads((out / "summary.json").read_text())["nodes"] == 4
 
 
+def test_profiles_file_starting_with_a_utf8_bom_reads_as_without(tmp_path):
+    text = json.dumps([{"name": "CUSTOM", "category": "Telecommunications", "threshold": 3,
+                        "indicator_weights": {"PUB": 1}}])
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        config = tmp_path / f"{name}.json"
+        config.write_bytes(data)
+        out = tmp_path / name
+        assert main(["build", str(RECORDS), "--subject", "CUSTOM", "--profiles", str(config),
+                     "--out", str(out)]) == 0
+        outputs.append({k: v for k, v in _tree_bytes(out).items() if k.name != "manifest.json"})
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+@pytest.mark.parametrize("year_range", [[2010], [2010, 2012, 2014], ["2010", "2014"], "20"])
+def test_profile_year_range_must_be_two_integers(tmp_path, capsys, year_range):
+    config = tmp_path / "profiles.json"
+    config.write_text(json.dumps([{"name": "CUSTOM", "category": "Telecommunications",
+                                   "year_range": year_range, "indicator_weights": {"PUB": 1}}]))
+    rc = main(["build", str(RECORDS), "--subject", "CUSTOM", "--profiles", str(config),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "year range must be two integers in profile 'CUSTOM'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("year", [10**30, -(10**30)])
 def test_build_keeps_a_year_beyond_int64_out_of_the_window(tmp_path, year):
     far = json.dumps({"pub_id": "FAR", "year": year, "category": "Telecommunications",
@@ -284,8 +309,9 @@ def test_pagerank_with_nodes_ranks_what_the_library_ranks(tmp_path):
 
     profile = citerank.default_profiles()["TEL"]
     with open(records, encoding="utf-8") as fh:
-        parsed = citerank.filter_records(citerank.parse_records(fh, strict=True).records, profile)
-    net = citerank.build_network(parsed, citerank.apply_threshold(parsed, profile))
+        table = citerank.parse_records(fh, strict=True).records
+    rows = citerank.filter_records(table, profile)
+    net = citerank.build_network(table, rows, citerank.apply_threshold(table, rows, profile))
     assert net.node_ids == ("uni-a", "uni-b", "uni-c")
     result = citerank.pagerank(net)
     library = tmp_path / "library.csv"
@@ -310,8 +336,10 @@ def test_self_loops_chosen_at_build_reach_the_ranking(tmp_path):
 
     profile = replace(citerank.default_profiles()["TEL"], publication_threshold=1)
     with open(RECORDS, encoding="utf-8") as fh:
-        parsed = citerank.filter_records(citerank.parse_records(fh).records, profile)
-    net = citerank.build_network(parsed, citerank.apply_threshold(parsed, profile), keep_self_loops=True)
+        table = citerank.parse_records(fh).records
+    rows = citerank.filter_records(table, profile)
+    retained = citerank.apply_threshold(table, rows, profile)
+    net = citerank.build_network(table, rows, retained, keep_self_loops=True)
     result = citerank.pagerank(net)
     library = tmp_path / "library.csv"
     write_ranking_csv(library, net.node_ids, result.scores, citerank.normalize_pagerank(result.scores))

@@ -45,6 +45,16 @@ def _parse(lines, strict=False):
     return parse_records(io.StringIO("\n".join(lines) + "\n"), strict=strict)
 
 
+def _all(table):
+    """The row mask that keeps every record of the table."""
+    return np.ones(len(table), dtype=bool)
+
+
+def _kept(table, rows):
+    """The masked rows of the table, as PublicationRecords."""
+    return [table[k] for k in np.flatnonzero(rows)]
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -236,6 +246,9 @@ def test_profile_validation():
         SubjectProfile("x", "c", publication_threshold=0, indicator_weights={"PUB": 1})
     with pytest.raises(ValueError):
         SubjectProfile("x", "c", year_range=(2014, 2010), indicator_weights={"PUB": 1})
+    for years in ((2010,), (2010, 2012, 2014), ("2010", "2014"), "20", 2010, (True, 2014)):
+        with pytest.raises(InputError, match="year range must be two integers in profile 'x'"):
+            SubjectProfile("x", "c", year_range=years, indicator_weights={"PUB": 1})
     with pytest.raises(ValueError):
         SubjectProfile("x", "c", indicator_weights={"PUB": 0})
     with pytest.raises(ValueError):
@@ -296,20 +309,20 @@ def test_filter_records_by_category_and_year():
             _line("p5", year=2014),
         ]
     )
-    kept = filter_records(res.records, _profile())
-    assert [r.pub_id for r in kept] == ["p1", "p5"]
+    rows = filter_records(res.records, _profile())
+    assert rows.tolist() == [True, False, False, False, True]
 
 
 def test_threshold_boundary_is_inclusive():
     res = _parse([_line(f"p{i}", affils=("U",)) for i in range(5)])
-    assert apply_threshold(res.records, _profile(threshold=5)) == {"u"}
+    assert apply_threshold(res.records, _all(res.records), _profile(threshold=5)) == {"u"}
     res4 = _parse([_line(f"p{i}", affils=("U",)) for i in range(4)])
-    assert apply_threshold(res4.records, _profile(threshold=5)) == set()
+    assert apply_threshold(res4.records, _all(res4.records), _profile(threshold=5)) == set()
 
 
 def test_threshold_counts_once_per_listed_affiliation():
     res = _parse([_line("p1", affils=("U", "V", "u"))])
-    retained = apply_threshold(res.records, _profile(threshold=1))
+    retained = apply_threshold(res.records, _all(res.records), _profile(threshold=1))
     assert retained == {"u", "v"}
 
 
@@ -318,7 +331,7 @@ def test_threshold_monotone_in_threshold():
         records = parse_records(fh).records
     previous = None
     for t in range(1, 11):
-        retained = apply_threshold(records, _profile(threshold=t))
+        retained = apply_threshold(records, _all(records), _profile(threshold=t))
         if previous is not None:
             assert retained <= previous
         previous = retained
@@ -336,7 +349,7 @@ def test_build_single_citation():
             _line("p2", affils=("B",)),
         ]
     )
-    net = build_network(res.records, {"a", "b"})
+    net = build_network(res.records, _all(res.records), {"a", "b"})
     assert weight_dict(net) == {(net.node_ids.index("a"), net.node_ids.index("b")): 1}
 
 
@@ -347,7 +360,7 @@ def test_build_cross_product_drops_self_pairs():
             _line("p2", affils=("B", "C")),
         ]
     )
-    net = build_network(res.records, {"a", "b", "c"})
+    net = build_network(res.records, _all(res.records), {"a", "b", "c"})
     expected = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
     actual = {
         (net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()
@@ -362,7 +375,7 @@ def test_build_keeps_self_pairs_when_enabled():
             _line("p2", affils=("B",)),
         ]
     )
-    net = build_network(res.records, {"a", "b"}, keep_self_loops=True)
+    net = build_network(res.records, _all(res.records), {"a", "b"}, keep_self_loops=True)
     actual = {
         (net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()
     }
@@ -376,7 +389,7 @@ def test_build_ignores_references_outside_dataset():
             _line("p2", affils=("B",)),
         ]
     )
-    net = build_network(res.records, {"a", "b"})
+    net = build_network(res.records, _all(res.records), {"a", "b"})
     assert net.n_edges == 0
     assert net.node_ids == ("a", "b")
 
@@ -389,7 +402,7 @@ def test_build_matches_padded_reference_ids():
             _line("p2", affils=("B",), refs=[(" P1 ", ("A",)), ("P1", ("A",)), ("P1\t", ("A",))]),
         ]
     )
-    net = build_network(res.records, {"a", "b"})
+    net = build_network(res.records, _all(res.records), {"a", "b"})
     assert net.total_weight == 3
     assert [ref_id for ref_id, _affils in res.records[1].references] == ["P1", "P1", "P1"]
 
@@ -397,7 +410,7 @@ def test_build_matches_padded_reference_ids():
 def test_build_requires_retained_institutions():
     res = _parse([_line("p1")])
     with pytest.raises(InputError):
-        build_network(res.records, set())
+        build_network(res.records, _all(res.records), set())
 
 
 def test_build_is_record_order_invariant():
@@ -409,8 +422,8 @@ def test_build_is_record_order_invariant():
     res_fwd = _parse(lines)
     res_rev = _parse(list(reversed(lines)))
     retained = {"a", "b", "c"}
-    net_fwd = build_network(res_fwd.records, retained)
-    net_rev = build_network(res_rev.records, retained)
+    net_fwd = build_network(res_fwd.records, _all(res_fwd.records), retained)
+    net_rev = build_network(res_rev.records, _all(res_rev.records), retained)
     assert net_fwd.node_ids == net_rev.node_ids
     assert weight_dict(net_fwd) == weight_dict(net_rev)
 
@@ -429,9 +442,10 @@ def test_build_ignores_record_order():
         lines = [_line(f"p{k}", affils=a, refs=refs) for k, (a, refs) in enumerate(records)]
         shuffled = data.draw(st.permutations(lines))
         retained = {"a", "b", "c"}
+        tables = [_parse(ls).records for ls in (lines, shuffled)]
         nets = [
-            build_network(_parse(ls).records, retained, keep_self_loops=keep_self_loops)
-            for ls in (lines, shuffled)
+            build_network(table, _all(table), retained, keep_self_loops=keep_self_loops)
+            for table in tables
         ]
         assert nets[0] == nets[1]
 
@@ -470,21 +484,22 @@ def test_fixture_publication_counts(fixture_records, fixture_manifest):
 
 def test_fixture_retained_set_at_threshold_3(fixture_records, fixture_manifest):
     profile = _profile(threshold=fixture_manifest["threshold"])
-    retained = apply_threshold(filter_records(fixture_records, profile), profile)
+    retained = apply_threshold(fixture_records, filter_records(fixture_records, profile), profile)
     assert sorted(retained) == fixture_manifest["retained"]
     assert len(retained) == 4
 
 
 def test_fixture_retained_counts_by_threshold(fixture_records, fixture_manifest):
     for t_str, expected in fixture_manifest["retained_count_by_threshold"].items():
-        retained = apply_threshold(fixture_records, _profile(threshold=int(t_str)))
+        profile = _profile(threshold=int(t_str))
+        retained = apply_threshold(fixture_records, _all(fixture_records), profile)
         assert len(retained) == expected, f"threshold {t_str}"
 
 
 def test_fixture_network_matches_hand_count(fixture_records, fixture_manifest):
     profile = _profile(threshold=fixture_manifest["threshold"])
-    retained = apply_threshold(filter_records(fixture_records, profile), profile)
-    net = build_network(fixture_records, retained)
+    rows = filter_records(fixture_records, profile)
+    net = build_network(fixture_records, rows, apply_threshold(fixture_records, rows, profile))
     assert net.n_nodes == fixture_manifest["nodes"]
     assert net.n_edges == fixture_manifest["edge_count"]
     assert net.total_weight == fixture_manifest["total_weight"]
@@ -542,12 +557,14 @@ def test_year_beyond_int64_parses_and_misses_every_window(year):
     assert not res.issues
     assert res.records[0].year == year and type(res.records[0].year) is int
     for profile in default_profiles().values():
-        kept = filter_records(res.records, replace(profile, category="Telecommunications"))
-        assert [r.pub_id for r in kept] == ["p2"]
+        rows = filter_records(res.records, replace(profile, category="Telecommunications"))
+        assert rows.tolist() == [False, True]
     # years compare as Python ints, so a window reaching the year holds it
     wide = replace(_profile(), year_range=(min(year, 2012), max(year, 2012)))
-    assert [r.pub_id for r in filter_records(res.records, wide)] == ["p1", "p2"]
-    assert list(filter_records(res.records, wide)) == reference_filter_records(list(res.records), wide)
+    assert filter_records(res.records, wide).tolist() == [True, True]
+    assert _kept(res.records, filter_records(res.records, wide)) == reference_filter_records(
+        list(res.records), wide
+    )
 
 
 @pytest.mark.parametrize("keep_self_loops, expected", [
@@ -559,7 +576,7 @@ def test_reference_to_its_own_record_counts(keep_self_loops, expected):
     res = _parse(lines)
     assert res.records[0].references == (("p1", ("b", "a")),)
     assert res.records.cited.tolist() == [0]
-    net = build_network(res.records, {"a", "b"}, keep_self_loops=keep_self_loops)
+    net = build_network(res.records, _all(res.records), {"a", "b"}, keep_self_loops=keep_self_loops)
     actual = {(net.node_ids[i], net.node_ids[j]): w for (i, j), w in weight_dict(net).items()}
     assert actual == expected
     assert net == reference_build_network(list(res.records), {"a", "b"}, keep_self_loops)
@@ -583,10 +600,20 @@ def test_record_table_is_a_read_only_sequence():
         with pytest.raises(ValueError):
             getattr(table, name)[0] = 0
     assert table.cited.tolist() == [1, -1, 0]
-    assert filter_records(table, replace(_profile(), year_range=(2000, 2020))) is table
-    sub = filter_records(table, _profile())
-    assert [r.pub_id for r in sub] == ["p1", "p2"]
-    assert sub.cited.tolist() == [1, -1]
+    assert filter_records(table, replace(_profile(), year_range=(2000, 2020))).tolist() == [True] * 3
+    assert filter_records(table, _profile()).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([0, 1]), np.array([1, 0, 1]), np.array([True, True]),
+    np.ones((3, 1), dtype=bool), np.array(True),
+], ids=["int-index", "int-0-1", "short", "2-d", "0-d"])
+def test_a_row_mask_must_be_one_bool_per_record(rows):
+    table = _parse([_line("p1", refs=[("p2", ("A",))]), _line("p2"), _line("p3")]).records
+    with pytest.raises(InputError, match="1-D bool mask"):
+        apply_threshold(table, rows, _profile())
+    with pytest.raises(InputError, match="1-D bool mask"):
+        build_network(table, rows, {"uni-a"})
 
 
 def test_record_table_pipeline_matches_per_record_reference():
@@ -614,6 +641,12 @@ def test_record_table_pipeline_matches_per_record_reference():
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @hypothesis.given(rows, st.integers(1, 2), st.booleans(), st.booleans())
+    # a kept record and one left out cite each other: neither citation counts
+    @hypothesis.example([
+        ("p{}", 2012, "Telecommunications", ["A"], [("p1", ["B"])]),
+        ("p{}", 2015, "Telecommunications", ["B"], [("p0", ["A"])]),
+        ("p{}", 2012, "Telecommunications", ["B"], []),
+    ], 1, False, False)
     def check(rows, threshold, keep_self_loops, strict):
         lines = [
             row if isinstance(row, str)
@@ -632,19 +665,20 @@ def test_record_table_pipeline_matches_per_record_reference():
         assert parsed.issues == expected.issues
         assert list(parsed.records) == expected.records
         profile = _profile(threshold=threshold)
-        pairs = [(parsed.records, expected.records)]  # unfiltered, as a library caller may pass
-        pairs.append((filter_records(parsed.records, profile),
+        table = parsed.records
+        pairs = [(_all(table), expected.records)]  # every row, as a library caller may pass
+        pairs.append((filter_records(table, profile),
                       reference_filter_records(expected.records, profile)))
-        assert list(pairs[1][0]) == pairs[1][1]
-        for table, records in pairs:
-            retained = apply_threshold(table, profile)
+        for rows, records in pairs:
+            assert _kept(table, rows) == records
+            retained = apply_threshold(table, rows, profile)
             assert retained == reference_apply_threshold(records, profile)
             for nodes in (retained, retained | {"zz"}):  # an id no record lists
                 if not nodes:
                     with pytest.raises(InputError):
-                        build_network(table, nodes, keep_self_loops)
+                        build_network(table, rows, nodes, keep_self_loops)
                     continue
-                net = build_network(table, nodes, keep_self_loops)
+                net = build_network(table, rows, nodes, keep_self_loops)
                 assert net == reference_build_network(records, nodes, keep_self_loops)
 
     check()
@@ -666,10 +700,10 @@ def test_pair_expansion_in_blocks_matches_reference(monkeypatch, block_pairs):
         lines.append(_line(f"p{k}", year=int(rng.choice([2009, 2012])), affils=affils, refs=refs))
     parsed, expected = _parse(lines), reference_parse_records(lines)
     profile = _profile(threshold=3)
-    table = filter_records(parsed.records, profile)
+    rows = filter_records(parsed.records, profile)
     records = reference_filter_records(expected.records, profile)
-    retained = apply_threshold(table, profile)
+    retained = apply_threshold(parsed.records, rows, profile)
     for keep_self_loops in (False, True):
-        net = build_network(table, retained, keep_self_loops)
+        net = build_network(parsed.records, rows, retained, keep_self_loops)
         assert net == reference_build_network(records, retained, keep_self_loops)
         assert net.total_weight > 100
