@@ -262,7 +262,8 @@ def _cmd_pca(args) -> int:
         manifest.inputs["corr"] = args.corr
     else:
         table = fileio.read_score_table(_require_file(args.table))
-        names_list = args.columns.split(",") if args.columns else list(table.column_names)
+        names_list = args.columns.split(",") if args.columns else table.column_names
+        names_list = [name.strip() for name in names_list]
         for name in names_list:
             if name not in table.columns:
                 raise MissingColumnError(f"table has no column {name!r}")

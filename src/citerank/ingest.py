@@ -65,6 +65,13 @@ class PublicationRecord(NamedTuple):
     references: tuple[tuple[str | None, tuple[str, ...]], ...]
 
 
+_PROFILE_KEYS = {"name", "category", "threshold", "year_range", "indicator_weights"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SubjectProfile:
     """Subject configuration: category filter, threshold, indicator weights."""
@@ -76,11 +83,18 @@ class SubjectProfile:
     indicator_weights: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, str) and v for v in (self.name, self.category)):
+            raise InputError(f"name and category must be non-empty strings in profile {self.name!r}")
         years = tuple(self.year_range) if isinstance(self.year_range, (tuple, list)) else ()
-        if len(years) != 2 or not all(isinstance(y, int) and not isinstance(y, bool) for y in years):
+        if len(years) != 2 or not all(map(_is_int, years)):
             raise InputError(f"year range must be two integers in profile {self.name!r}")
         object.__setattr__(self, "year_range", years)
-        weights = dict(self.indicator_weights)
+        if not _is_int(self.publication_threshold):
+            raise InputError(f"publication threshold must be an integer in profile {self.name!r}")
+        weights = self.indicator_weights
+        if not isinstance(weights, Mapping) or not all(map(_is_int, weights.values())):
+            raise InputError(f"indicator weights must be integers in profile {self.name!r}")
+        weights = dict(weights)
         unknown = set(weights) - set(INDICATORS)
         if unknown:
             raise InputError(f"unknown indicators in profile {self.name!r}: {sorted(unknown)}")
@@ -112,7 +126,8 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
 
     The file holds a list of objects with keys name, category, threshold,
     year_range ([start, end]) and indicator_weights; threshold and
-    year_range may be omitted.
+    year_range may be omitted, and any other key is an error. Values are
+    taken as written: threshold, years and weights must be integers.
     """
     with open(path, encoding="utf-8-sig") as handle:
         try:
@@ -123,15 +138,21 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
         raise InputError(f"profile config {path}: expected a list of profile objects")
     profiles: dict[str, SubjectProfile] = {}
     for entry in raw:
+        if not isinstance(entry, dict):
+            raise InputError(f"profile config {path}: expected a profile object, got {entry!r}")
+        unknown = sorted(set(entry) - _PROFILE_KEYS)
+        if unknown:
+            name = entry.get("name")
+            raise InputError(f"profile config {path}: unknown keys {unknown} in profile {name!r}")
         try:
             profile = SubjectProfile(
                 name=entry["name"],
                 category=entry["category"],
-                publication_threshold=int(entry.get("threshold", 1)),
+                publication_threshold=entry.get("threshold", 1),
                 year_range=entry.get("year_range", (2010, 2014)),
-                indicator_weights={k: int(v) for k, v in entry.get("indicator_weights", {}).items()},
+                indicator_weights=entry.get("indicator_weights", {}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise InputError(f"profile config {path}: bad profile entry ({exc})") from exc
         profiles[profile.name] = profile
     return profiles

@@ -4,9 +4,11 @@ Nodes are institutions; an edge (i, j) with weight w means institution i's
 publications cite institution j's publications w times in total. A network
 is only its nodes and edges: a self-loop (i, i) is stored like any other
 edge, and whether same-institution citations count is decided where records
-become a network, in ingest.build_network. The degree statistics here treat
-the network as unweighted: in-degree counts distinct citing institutions,
-not citation volume.
+become a network, in ingest.build_network. There is one way to make a
+network: the constructor takes index triples in any order, sums repeated
+pairs and sorts them, and build() and from_edges() go through it. The
+degree statistics here treat the network as unweighted: in-degree counts
+distinct citing institutions, not citation volume.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ __all__ = ["CitationNetwork", "DegreeReport", "in_degree", "degree_report"]
 INT64_MAX = 2**63 - 1
 
 
-def _int64(values, what: str, copy: bool) -> np.ndarray:
-    """values as an int64 array, a new one if copy; InputError unless each is an int64 integer."""
+def _int64(values, what: str) -> np.ndarray:
+    """values as an int64 array; InputError unless each is an int64 integer."""
     arr = np.asarray(values)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -38,18 +40,7 @@ def _int64(values, what: str, copy: bool) -> np.ndarray:
         raise InputError(f"{what} must be integers, got {arr.dtype}")
     if arr.dtype.kind != "i" and (arr.min() < -INT64_MAX - 1 or arr.max() > INT64_MAX):
         raise InputError(f"{what} beyond the int64 range")
-    return arr.astype(np.int64, copy=copy)
-
-
-def _edge_columns(source, target, weight, copy: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    columns = (
-        _int64(source, "source indices", copy),
-        _int64(target, "target indices", copy),
-        _int64(weight, "edge weights", copy),
-    )
-    if len({c.size for c in columns}) > 1:
-        raise InputError("source, target and weight must have one length")
-    return columns
+    return arr.astype(np.int64, copy=False)
 
 
 def _first(mask: np.ndarray, *arrays: np.ndarray) -> list[int]:
@@ -69,29 +60,17 @@ def _check_edges(n: int, source, target, weight) -> None:
         raise InputError(f"edge ({i}, {j}) has non-positive or non-integer weight {w!r}")
 
 
-def _check_unique(ids: tuple[str, ...]) -> None:
-    if len(set(ids)) != len(ids):
-        raise InputError("node identifiers must be unique")
-
-
-def _check_total(weight: np.ndarray) -> None:
-    """Raise InputError when the positive weights sum past the int64 range."""
-    if weight.size and int(weight.max()) > INT64_MAX // weight.size:
-        total = sum(weight.tolist())
-        if total > INT64_MAX:
-            raise InputError(f"total weight {total} is beyond the int64 range")
-
-
 @dataclass(frozen=True, eq=False)
 class CitationNetwork:
     """Immutable weighted directed graph over an ordered set of institutions.
 
-    Edge k runs from node source[k] to node target[k] with positive integer
-    citation count weight[k]; zero-weight pairs are simply absent. The three
-    int64 arrays are read-only and sorted by (source, target) index, each
-    pair at most once. Instances are safe to share between threads; every
-    operation in this module is a pure function. Use build() to assemble a
-    network from unsorted, repeated pairs.
+    Built from (source[k], target[k], weight[k]) index triples in any order:
+    repeated pairs add up, and the network keeps each pair once, sorted by
+    (source, target) index, with its positive integer citation count;
+    zero-weight pairs are simply absent. The three int64 arrays are new and
+    read-only: the inputs are read, never kept or written. Instances are
+    safe to share between threads; every operation in this module is a
+    pure function.
     """
 
     node_ids: tuple[str, ...]
@@ -102,32 +81,13 @@ class CitationNetwork:
     def __post_init__(self) -> None:
         ids = tuple(self.node_ids)
         n = len(ids)
-        _check_unique(ids)
-        source, target, weight = _edge_columns(self.source, self.target, self.weight, copy=True)
-        _check_edges(n, source, target, weight)
-        keys = source * n + target
-        if np.any(keys[1:] <= keys[:-1]):
-            raise InputError("edges must be distinct and sorted by (source, target)")
-        self._freeze(ids, source, target, weight)
-
-    def _freeze(self, ids: tuple[str, ...], source, target, weight) -> None:
-        """Set the fields to arrays no caller holds, after the total-weight check."""
-        _check_total(weight)
-        for name, arr in (("source", source), ("target", target), ("weight", weight)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "node_ids", ids)
-
-    @classmethod
-    def build(cls, node_ids: Iterable[str], source, target, weight) -> "CitationNetwork":
-        """Assemble a network from (source[k], target[k], weight[k]) index triples.
-
-        Pairs may come in any order and repeat; repeats add up. The input
-        arrays are read, never kept or written: the network's arrays are new.
-        """
-        ids = tuple(node_ids)
-        n = len(ids)
-        source, target, weight = _edge_columns(source, target, weight, copy=False)
+        if len(set(ids)) != n:
+            raise InputError("node identifiers must be unique")
+        source = _int64(self.source, "source indices")
+        target = _int64(self.target, "target indices")
+        weight = _int64(self.weight, "edge weights")
+        if not source.size == target.size == weight.size:
+            raise InputError("source, target and weight must have one length")
         _check_edges(n, source, target, weight)
         keys = source * n
         keys += target
@@ -136,9 +96,10 @@ class CitationNetwork:
             keys, weight = np.unique(keys, return_counts=True)
         else:
             order = np.argsort(keys)  # integer sums do not depend on the order of repeats
-            keys, weight = keys[order], weight[order]
+            keys = keys[order]  # gather one at a time, so the unsorted keys go first
+            weight = weight[order]
             del order
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))  # first of each run of equal keys
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
             if int(weight.max()) > INT64_MAX // weight.size:
                 # a sum may pass int64: add in Python ints first
                 exact = np.add.reduceat(weight.astype(object), starts)
@@ -149,11 +110,25 @@ class CitationNetwork:
                         f"edge ({i}, {j}) from {ids[i]!r} to {ids[j]!r} has total weight "
                         f"{exact[over[0]]}, beyond the int64 range"
                     )
-            keys, weight = keys[starts], np.add.reduceat(weight, starts)
-        _check_unique(ids)
-        net = object.__new__(cls)  # the other checks of __post_init__ hold by construction
-        net._freeze(ids, keys // n, keys % n, weight.astype(np.int64, copy=False))
-        return net
+            if starts.size < keys.size:  # some pairs repeat; when none do, two gathers are saved
+                keys, weight = keys[starts], np.add.reduceat(weight, starts)
+            del starts
+        if weight.size and int(weight.max()) > INT64_MAX // weight.size:  # the total may pass int64
+            total = sum(weight.tolist())
+            if total > INT64_MAX:
+                raise InputError(f"total weight {total} is beyond the int64 range")
+        target = keys % n
+        keys //= n  # keys is a new array: it becomes the source column
+        weight = weight.astype(np.int64, copy=False)
+        for name, arr in (("source", keys), ("target", target), ("weight", weight)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "node_ids", ids)
+
+    @classmethod
+    def build(cls, node_ids: Iterable[str], source, target, weight) -> "CitationNetwork":
+        """The constructor under the name its callers use: CitationNetwork(node_ids, ...)."""
+        return cls(node_ids, source, target, weight)
 
     @classmethod
     def from_edges(

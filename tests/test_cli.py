@@ -159,6 +159,30 @@ def test_profiles_file_starting_with_a_utf8_bom_reads_as_without(tmp_path):
     assert outputs[0] == outputs[1] and outputs[0]
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"threshold": 3.9}, "publication threshold must be an integer in profile 'CUSTOM'"),
+        ({"threshold": "3"}, "publication threshold must be an integer in profile 'CUSTOM'"),
+        ({"treshold": 5}, "unknown keys ['treshold'] in profile 'CUSTOM'"),
+        ({"indicator_weights": {"PUB": True}}, "indicator weights must be integers in profile 'CUSTOM'"),
+        ({"indicator_weights": {"PUB": 1.5}}, "indicator weights must be integers in profile 'CUSTOM'"),
+        ({"indicator_weights": ["PUB"]}, "indicator weights must be integers in profile 'CUSTOM'"),
+        ({"category": 7}, "name and category must be non-empty strings in profile 'CUSTOM'"),
+        ({"name": 5}, "name and category must be non-empty strings in profile 5"),
+    ],
+)
+def test_profile_values_are_taken_as_written(tmp_path, capsys, change, message):
+    entry = {"name": "CUSTOM", "category": "Telecommunications", "threshold": 3,
+             "indicator_weights": {"PUB": 1}}
+    config = tmp_path / "profiles.json"
+    config.write_text(json.dumps([{**entry, **change}]))
+    rc = main(["build", str(RECORDS), "--subject", "CUSTOM", "--profiles", str(config),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("year_range", [[2010], [2010, 2012, 2014], ["2010", "2014"], "20"])
 def test_profile_year_range_must_be_two_integers(tmp_path, capsys, year_range):
     config = tmp_path / "profiles.json"
@@ -523,6 +547,22 @@ def test_pca_from_table_matches_direct_call(tmp_path, score_table=None):
     rows = _read_csv(out / "variance.csv")
     eigen = [float(r[1]) for r in rows[1:]]
     assert eigen == pytest.approx(list(expected.eigenvalues), rel=1e-9)
+
+
+def test_pca_columns_are_stripped_like_the_header(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "table.csv"
+    values = rng.uniform(1, 10, size=(12, 3)).tolist()
+    rows = (f"i{k},{x!r},{y!r},{z!r}" for k, (x, y, z) in enumerate(values))
+    path.write_text("\n".join(["institution,a,b,c", *rows]) + "\n")
+    outputs = []
+    for name, columns in (("plain", "a,b"), ("spaced", "a, b")):
+        out = tmp_path / name
+        rc = main(["pca", "--table", str(path), "--columns", columns, "--retain", "1", "--out", str(out)])
+        assert rc == 0
+        files = {k: v for k, v in _tree_bytes(out).items() if k.name != "manifest.json"}
+        outputs.append((files, _strip_timestamp(out / "manifest.json")))
+    assert outputs[0] == outputs[1] and outputs[0][0]
 
 
 def test_pca_retain_larger_than_dimension_exits_one(tmp_path, capsys):

@@ -249,6 +249,11 @@ def test_profile_validation():
     for years in ((2010,), (2010, 2012, 2014), ("2010", "2014"), "20", 2010, (True, 2014)):
         with pytest.raises(InputError, match="year range must be two integers in profile 'x'"):
             SubjectProfile("x", "c", year_range=years, indicator_weights={"PUB": 1})
+    bad_fields = [{"name": ""}, {"category": 7}, {"publication_threshold": 3.9}, {"publication_threshold": True},
+                  {"indicator_weights": {"PUB": True}}, {"indicator_weights": [("PUB", 1)]}]
+    for bad in bad_fields:
+        with pytest.raises(InputError, match="in profile"):
+            SubjectProfile(**{"name": "x", "category": "c", "indicator_weights": {"PUB": 1}, **bad})
     with pytest.raises(ValueError):
         SubjectProfile("x", "c", indicator_weights={"PUB": 0})
     with pytest.raises(ValueError):
@@ -277,9 +282,10 @@ def test_load_profiles_roundtrip(tmp_path):
 
 def test_load_profiles_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{}")
-    with pytest.raises(InputError):
-        load_profiles(path)
+    for text in ("{}", "[5]", '[["name", "category"]]'):
+        path.write_text(text)
+        with pytest.raises(InputError):
+            load_profiles(path)
 
 
 def test_bundled_profiles_config_matches_defaults():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from citerank import CitationNetwork, degree_report, in_degree
-from citerank.errors import DegenerateNetworkError
+from citerank.errors import DegenerateNetworkError, InputError
 
 from conftest import (
     build_from_dict,
@@ -129,11 +129,48 @@ def test_build_counts_repeated_unit_pairs():
     assert net.weight.dtype == np.int64
 
 
-def test_constructor_rejects_unsorted_or_repeated_pairs():
-    with pytest.raises(ValueError, match="sorted"):
-        CitationNetwork(("a", "b"), [1, 0], [0, 1], [1, 1])
-    with pytest.raises(ValueError, match="sorted"):
-        CitationNetwork(("a", "b"), [0, 0], [1, 1], [1, 1])
+@pytest.mark.parametrize("max_weight", [1, 6])  # the unit-weight path and the general one
+def test_constructor_and_build_sum_and_sort_like_a_dict(max_weight):
+    rng = np.random.default_rng(1414)
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(0, 40))  # few nodes, many triples: pairs repeat and come unsorted
+        src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        w = rng.integers(1, max_weight + 1, size=m)
+        expected = {}
+        for i, j, x in zip(src.tolist(), dst.tolist(), w.tolist()):
+            expected[(i, j)] = expected.get((i, j), 0) + x
+        ids = tuple(f"n{k}" for k in rng.permutation(n))
+        net = CitationNetwork(ids, src, dst, w)
+        assert list(weight_dict(net).items()) == sorted(expected.items())
+        assert net == CitationNetwork.build(ids, src.tolist(), dst.tolist(), w.tolist())
+
+
+HALF = 2**62
+BAD_INPUTS = [
+    (("a", "a"), [], [], [], "node identifiers must be unique"),
+    (("a", "b"), [0], [1], [0], "edge (0, 1) has non-positive or non-integer weight 0"),
+    (("a", "b"), [0], [1], [-3], "edge (0, 1) has non-positive or non-integer weight -3"),
+    (("a", "b"), [0], [2], [1], "edge (0, 2) out of range for 2 nodes"),
+    (("a", "b"), [0], [1], [1.5], "edge weights must be integers, got float64"),
+    (("a", "b"), [0], [1], [2**63], "edge weights beyond the int64 range"),
+    (
+        ("a", "b"),
+        [0, 0],
+        [1, 1],
+        [HALF, HALF],
+        "edge (0, 1) from 'a' to 'b' has total weight 9223372036854775808, beyond the int64 range",
+    ),
+    (("a", "b", "c"), [0, 1], [1, 2], [HALF, HALF], "total weight 9223372036854775808 is beyond the int64 range"),
+]
+
+
+@pytest.mark.parametrize("ids, source, target, weight, message", BAD_INPUTS)
+def test_constructor_and_build_reject_bad_input_alike(ids, source, target, weight, message):
+    for make in (CitationNetwork, CitationNetwork.build):
+        with pytest.raises(InputError) as info:
+            make(ids, source, target, weight)
+        assert str(info.value) == message
 
 
 def test_rejects_non_integer_weights():
