@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -200,17 +200,20 @@ def _cmd_pagerank(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    table = fileio.read_score_table(_require_file(args.table))
-    for name in [args.col_a, args.col_b, *args.control]:
+def _columns(table: scoring.ScoreTable, names) -> list:
+    """The named columns of a score table, in the order given."""
+    for name in names:
         if name not in table.columns:
             raise MissingColumnError(
                 f"table has no column {name!r}; available: {', '.join(table.column_names)}"
             )
-    controls = {name: table.columns[name] for name in args.control}
-    report = rankstats.compare_columns(
-        table.columns[args.col_a], table.columns[args.col_b], controls
-    )
+    return [table.columns[name] for name in names]
+
+
+def _cmd_compare(args) -> int:
+    table = fileio.read_score_table(_require_file(args.table))
+    a, b, *controls = _columns(table, [args.col_a, args.col_b, *args.control])
+    report = rankstats.compare_columns(a, b, dict(zip(args.control, controls)))
     out = _prepare_out(args.out)
     fileio.write_json(report.to_dict(), out / "report.json")
     rows = [
@@ -262,14 +265,8 @@ def _cmd_pca(args) -> int:
         manifest.inputs["corr"] = args.corr
     else:
         table = fileio.read_score_table(_require_file(args.table))
-        names_list = args.columns.split(",") if args.columns else table.column_names
-        names_list = [name.strip() for name in names_list]
-        for name in names_list:
-            if name not in table.columns:
-                raise MissingColumnError(f"table has no column {name!r}")
-        matrix, names = rankstats.correlation_matrix(
-            {name: table.columns[name] for name in names_list}
-        )
+        names = [n.strip() for n in args.columns.split(",")] if args.columns else table.column_names
+        matrix, names = rankstats.correlation_matrix(dict(zip(names, _columns(table, names))))
         fileio.write_correlation_csv(matrix, names, out / "derived_correlations.csv")
         manifest.inputs["table"] = args.table
         manifest.flags["columns"] = list(names)
@@ -288,7 +285,7 @@ def _cmd_pca(args) -> int:
     )
     fileio.write_loadings_csv(result.variables, result.loadings, out / "loadings_initial.csv")
     fileio.write_loadings_csv(result.variables, result.rotated_loadings, out / "loadings_rotated.csv")
-    fileio.write_json(result.to_dict(), out / "pca.json")
+    fileio.write_json(asdict(result), out / "pca.json")
     manifest.outputs += ["variance.csv", "loadings_initial.csv", "loadings_rotated.csv", "pca.json"]
     manifest.write(out)
     top = float(result.explained_share[: args.retain].sum())

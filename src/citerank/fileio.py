@@ -216,18 +216,18 @@ def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None
 # ---------------------------------------------------------------------------
 
 
-def read_score_table(path) -> ScoreTable:
-    """Read an `institution,<column>,...` CSV; every cell must be present."""
+def _read_labeled(path, label: str) -> tuple[list[str], list[str], list[np.ndarray]]:
+    """Column names, row labels and float64 columns of a `<label>,<column>,...` CSV."""
     header, columns, unread = _read_rows(path)
-    if len(header) < 2 or header[0] != "institution":
-        raise TableFormatError(f"{path}: expected header 'institution,<column>,...'")
+    if len(header) < 2 or header[0] != label:
+        raise TableFormatError(f"{path}: expected header '{label},<column>,...'")
     names = header[1:]
     if len(set(names)) != len(names):
         raise TableFormatError(f"{path}: duplicate column names")
 
-    def problem(inst, *cells):
-        if not inst:
-            return "empty institution id"
+    def problem(row_label, *cells):
+        if not row_label:
+            return f"empty {label} id"
         for name, cell in zip(names, cells):
             if not cell:
                 return f"missing value in column {name!r}"
@@ -237,16 +237,22 @@ def read_score_table(path) -> ScoreTable:
                 return f"bad number {cell!r} in column {name!r}"
         return None
 
-    institutions, *cells = columns
+    labels, *cells = columns
     try:
         values = [
             np.fromiter(map(float, column), dtype=np.float64, count=len(column)) for column in cells
         ]
-        valid = all(institutions)
+        valid = all(labels)
     except ValueError:
         valid = False
     if not valid or unread is not None:
         _check_rows(path, columns, problem, unread)
+    return names, labels, values
+
+
+def read_score_table(path) -> ScoreTable:
+    """Read an `institution,<column>,...` CSV; every cell must be present."""
+    names, institutions, values = _read_labeled(path, "institution")
     try:
         return ScoreTable(tuple(institutions), dict(zip(names, values)))
     except InputError as exc:
@@ -258,25 +264,12 @@ def read_score_table(path) -> ScoreTable:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_row_problem(_label, *cells) -> str | None:
-    try:
-        [float(cell) for cell in cells]
-    except ValueError:
-        return "non-numeric matrix entry"
-    return None
-
-
 def read_correlation_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a labeled square matrix: header `variable,<v1>,...`, one row per variable."""
-    header, columns, unread = _read_rows(path)
-    if len(header) < 2 or header[0] != "variable":
-        raise TableFormatError(f"{path}: expected header 'variable,<name>,...'")
-    names = tuple(header[1:])
-    _check_rows(path, columns, _matrix_row_problem, unread)  # a matrix has few rows
-    labels, *cells = columns
-    if tuple(labels) != names:
-        raise TableFormatError(f"{path}: row labels must match column order {names}")
-    return np.array([[float(cell) for cell in row] for row in zip(*cells)]), names
+    names, labels, values = _read_labeled(path, "variable")
+    if labels != names:
+        raise TableFormatError(f"{path}: row labels must match column order {tuple(names)}")
+    return np.column_stack(values), tuple(names)
 
 
 def _labeled_matrix_csv(path, header: list[str], labels: Sequence[str], matrix) -> None:

@@ -126,8 +126,9 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
 
     The file holds a list of objects with keys name, category, threshold,
     year_range ([start, end]) and indicator_weights; threshold and
-    year_range may be omitted, and any other key is an error. Values are
-    taken as written: threshold, years and weights must be integers.
+    year_range may be omitted, and any other key is an error. Each name may
+    appear once. Values are taken as written: threshold, years and weights
+    must be integers.
     """
     with open(path, encoding="utf-8-sig") as handle:
         try:
@@ -154,6 +155,8 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
             )
         except (KeyError, ValueError) as exc:
             raise InputError(f"profile config {path}: bad profile entry ({exc})") from exc
+        if profile.name in profiles:
+            raise InputError(f"profile config {path}: profile {profile.name!r} is listed twice")
         profiles[profile.name] = profile
     return profiles
 
@@ -181,8 +184,8 @@ class RecordTable(Sequence):
     r has reference_ids[r] (trimmed, or None), cited[r] (the row of the record
     it cites in this table, or -1 when that record is not in it) and the
     affiliations reference_affiliations[reference_affiliation_offsets[r]:...].
-    An affiliation is a position in `institutions`, the canonical ids in the
-    order they were first read, and `institution_index` maps each id to its
+    An affiliation is a position in `institutions`, the canonical ids of the
+    table's records in first-read order, and `institution_index` maps each to its
     position; each affiliation list holds distinct ids in first-read order.
     pub_ids, years, categories and reference_ids are object arrays of the
     values read, so a year is a Python int of any size; the other arrays are
@@ -246,9 +249,8 @@ def _intern(names, what: str, index: dict[str, int]) -> list[int]:
     """Positions in `index` of the distinct canonical ids of a JSON affiliation list, first read first.
 
     A canonical id is the name trimmed and case-folded; an empty one is
-    skipped. An id not yet in `index` is added to it, also when the line
-    fails a later check; apply_threshold never retains such an id, since no
-    record lists it.
+    skipped. An id not yet in `index` is added to it; parse_records removes
+    it again if the line is rejected.
     """
     if not isinstance(names, list):
         raise ValueError(f"{what} must be a list of strings")
@@ -337,6 +339,7 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
+        known = len(index)
         try:
             pub_id, year, category, affs, ref_ids, ref_counts, ref_affs = _parse_line(line, index)
         except ValueError as exc:
@@ -356,6 +359,8 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
                 reference_affiliations.extend(ref_affs)
                 continue
             message = f"duplicate pub_id {pub_id!r} (first seen on line {line_of[row]})"
+        while len(index) > known:  # drop the ids first read on this rejected line
+            index.popitem()
         if strict:
             raise ParseError(f"line {line_no}: {message}")
         issues.append(ParseIssue(line_no, message))

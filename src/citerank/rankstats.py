@@ -6,7 +6,10 @@ concordance W with tie correction, first-order partial correlations,
 descriptive statistics of absolute rank displacement, and PCA of a
 correlation matrix with varimax rotation of the retained loadings.
 
-All functions are pure and operate on immutable inputs, so they are safe to
+Every statistic checks its vectors once, in _vectors: 1-D, of one length
+and finite. Pearson correlations first scale each vector by a power of two,
+which is exact and keeps the squares of extreme magnitudes in range. All
+functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
 """
 
@@ -71,15 +74,23 @@ def average_rank(values, descending: bool = False) -> np.ndarray:
     return ranks
 
 
-def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or yv.ndim != 1 or xv.size != yv.size:
+def _vectors(*arrays) -> list[np.ndarray]:
+    """The arrays as float64 vectors; InputError unless they are 1-D, of one length and finite."""
+    vectors = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if any(v.ndim != 1 or v.size != vectors[0].size for v in vectors):
         raise InputError("inputs must be 1-D vectors of equal length")
-    return xv, yv
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise InputError("inputs must be finite (no NaN or infinity)")
+    return vectors
+
+
+def _unit_scale(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings its largest magnitude into [0.5, 1), exactly."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
 
 
 def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
+    x, y = _unit_scale(x), _unit_scale(y)
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -149,7 +160,7 @@ def _t_two_sided_p(r: float, dof: int) -> float:
 
 def pearson(x, y) -> tuple[float, float]:
     """Sample Pearson correlation and its two-sided t-transform p-value."""
-    xv, yv = _as_pair(x, y)
+    xv, yv = _vectors(x, y)
     if xv.size < 3:
         raise InputError(f"pearson needs at least 3 points, got {xv.size}")
     r = _pearson_r(xv, yv)
@@ -158,7 +169,7 @@ def pearson(x, y) -> tuple[float, float]:
 
 def spearman(x, y) -> tuple[float, float]:
     """Spearman rank correlation: Pearson on average-ranked data."""
-    xv, yv = _as_pair(x, y)
+    xv, yv = _vectors(x, y)
     if xv.size < 3:
         raise InputError(f"spearman needs at least 3 points, got {xv.size}")
     rho = _pearson_r(average_rank(xv), average_rank(yv))
@@ -173,12 +184,10 @@ def kendall_w(rows) -> float:
     so ties are handled with the standard correction. W is 1 for perfect
     agreement and 0 for none.
     """
-    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    rows = _vectors(*rows)
     if len(rows) < 2:
         raise InputError("kendall_w needs at least 2 rankings")
     n = rows[0].size
-    if any(row.ndim != 1 or row.size != n for row in rows):
-        raise InputError("kendall_w rankings must be 1-D and of equal length")
     if n < 2:
         raise InputError("kendall_w needs at least 2 items")
     m = len(rows)
@@ -211,10 +220,7 @@ def partial_correlation(x, y, z) -> tuple[float, float]:
     Uses the first-order formula on the pairwise Pearson correlations; the
     p-value comes from the t-transform with n - 3 degrees of freedom.
     """
-    xv, yv = _as_pair(x, y)
-    zv = np.asarray(z, dtype=np.float64)
-    if zv.ndim != 1 or zv.size != xv.size:
-        raise InputError("control vector must match the input length")
+    xv, yv, zv = _vectors(x, y, z)
     if xv.size < 4:
         raise InputError(f"partial correlation needs at least 4 points, got {xv.size}")
     r = partial_from_pairwise(_pearson_r(xv, yv), _pearson_r(xv, zv), _pearson_r(yv, zv))
@@ -249,7 +255,7 @@ def rank_displacement(score_a, score_b) -> DisplacementSummary:
     Both score vectors are ranked descending with ties averaged. Percentiles
     use the nearest-rank method, so p50/p75/p90 are actual observed values.
     """
-    a, b = _as_pair(score_a, score_b)
+    a, b = _vectors(score_a, score_b)
     if a.size == 0:
         raise InputError("rank displacement needs at least one institution")
     diffs = np.abs(average_rank(a, descending=True) - average_rank(b, descending=True))
@@ -339,25 +345,16 @@ class PcaResult:
     def retained(self) -> int:
         return self.loadings.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "explained_share": self.explained_share.tolist(),
-            "loadings": self.loadings.tolist(),
-            "rotated_loadings": self.rotated_loadings.tolist(),
-            "rotated_variance_share": self.rotated_variance_share.tolist(),
-        }
-
 
 def correlation_matrix(columns: Mapping[str, Sequence[float]]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Pearson correlation matrix of named columns (observations standardized)."""
     names = tuple(columns)
     if len(names) < 2:
         raise InputError("need at least two columns to correlate")
-    data = np.column_stack([np.asarray(columns[name], dtype=np.float64) for name in names])
-    if data.shape[0] < 3:
+    vectors = _vectors(*(columns[name] for name in names))
+    if vectors[0].size < 3:
         raise InputError("need at least 3 observations to correlate")
+    data = np.column_stack([_unit_scale(v) for v in vectors])
     if np.any(data.std(axis=0) == 0.0):
         raise UndefinedStatisticError("correlation undefined for a zero-variance column")
     return np.corrcoef(data, rowvar=False), names

@@ -194,6 +194,16 @@ def test_profile_year_range_must_be_two_integers(tmp_path, capsys, year_range):
     assert "year range must be two integers in profile 'CUSTOM'" in capsys.readouterr().err
 
 
+def test_profile_listed_twice_in_one_file_exits_one(tmp_path, capsys):
+    entry = {"name": "X", "category": "Telecommunications", "indicator_weights": {"PUB": 1}}
+    config = tmp_path / "profiles.json"
+    config.write_text(json.dumps([entry, {**entry, "category": "Other"}]))
+    rc = main(["build", str(RECORDS), "--subject", "X", "--profiles", str(config),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: profile config {config}: profile 'X' is listed twice\n"
+
+
 @pytest.mark.parametrize("year", [10**30, -(10**30)])
 def test_build_keeps_a_year_beyond_int64_out_of_the_window(tmp_path, year):
     far = json.dumps({"pub_id": "FAR", "year": year, "category": "Telecommunications",
@@ -481,6 +491,16 @@ def test_compare_missing_value_rejected(tmp_path, capsys):
     assert "missing value" in capsys.readouterr().err
 
 
+def test_compare_keeps_every_digit_at_extreme_magnitudes(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("institution,a,b\ni1,1e200,1e200\ni2,2e200,2e200\ni3,3e200,3e200\ni4,4e200,4.5e200\n")
+    rc = main(["compare", str(path), "--col-a", "a", "--col-b", "b", "--out", str(tmp_path / "c")])
+    assert rc == 0
+    assert "pearson 0.9944," in capsys.readouterr().out
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["pearson"]["r"] == pytest.approx(0.99437671268437, rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "command", [["compare", "--col-a", "a", "--col-b", "b"], ["pca", "--retain", "1", "--table"]]
 )
@@ -577,6 +597,28 @@ def test_pca_invalid_matrix_exits_one(tmp_path, capsys):
     rc = main(["pca", "--corr", str(path), "--retain", "1", "--out", str(tmp_path / "p")])
     assert rc == 1
     assert "symmetric" in capsys.readouterr().err
+
+
+def test_pca_corr_with_a_repeated_variable_exits_one(tmp_path, capsys):
+    path = tmp_path / "corr.csv"
+    path.write_text("variable,a,a\na,1.0,0.5\na,0.5,1.0\n")
+    rc = main(["pca", "--corr", str(path), "--retain", "1", "--out", str(tmp_path / "p")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate column names\n"
+
+
+def test_pca_and_compare_name_a_missing_column_alike(tmp_path, score_table, capsys):
+    path, *_ = score_table
+    errors = []
+    for command in (
+        ["compare", str(path), "--col-a", "arwu_score", "--col-b", "zz"],
+        ["pca", "--table", str(path), "--columns", "arwu_score,zz", "--retain", "1"],
+    ):
+        assert main([*command, "--out", str(tmp_path / command[0])]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: table has no column 'zz'; available: arwu_score, pagerank_score, citations\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_edge_list_reports_first_bad_row_in_file_order(tmp_path, bad_value, mess
     "read, header, bad_value, message",
     [
         (read_score_table, "institution,a,b", "i2,1.0,", "missing value in column 'b'"),
-        (read_correlation_csv, "variable,x,y", "y,0.2,one", "non-numeric matrix entry"),
+        (read_correlation_csv, "variable,x,y", "y,0.2,one", "bad number 'one' in column 'y'"),
     ],
 )
 def test_tables_report_first_bad_row_in_file_order(tmp_path, read, header, bad_value, message):

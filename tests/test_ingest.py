@@ -115,6 +115,18 @@ def test_parse_ignores_blank_lines():
     assert len(res.records) == 2 and not res.issues
 
 
+def test_rejected_lines_leave_no_institutions_behind():
+    bad_ref = json.dumps({"pub_id": "p2", "year": 2012, "category": "c", "affiliations": ["Ghost U"],
+                          "references": [{"pub_id": "x", "affiliations": ["Ref Ghost"]}, 7]})
+    lines = [_line("p1", affils=("Uni A",)), bad_ref, _line("p1", affils=("Dup U",)),
+             _line("p3", affils=("New U", "Uni A"))]
+    res = _parse(lines)
+    assert [i.line for i in res.issues] == [2, 3]
+    assert res.records.institutions == ("uni a", "new u")
+    assert dict(res.records.institution_index) == {"uni a": 0, "new u": 1}
+    assert [r.affiliations for r in res.records] == [("uni a",), ("new u", "uni a")]
+
+
 _DROP = object()
 
 

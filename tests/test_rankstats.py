@@ -617,3 +617,59 @@ def test_correlation_matrix_from_columns():
 def test_correlation_matrix_rejects_constant_column():
     with pytest.raises(UndefinedStatisticError):
         correlation_matrix({"a": [1.0, 1.0, 1.0], "b": [1.0, 2.0, 3.0]})
+
+
+# ---------------------------------------------------------------------------
+# input checks shared by every statistic
+# ---------------------------------------------------------------------------
+
+
+_STATISTICS = {
+    "pearson": lambda x, y, z: pearson(x, y),
+    "spearman": lambda x, y, z: spearman(x, y),
+    "partial_correlation": partial_correlation,
+    "kendall_w": lambda x, y, z: kendall_w([x, y, z]),
+    "rank_displacement": lambda x, y, z: rank_displacement(x, y),
+    "correlation_matrix": lambda x, y, z: correlation_matrix({"x": x, "y": y, "z": z}),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", sorted(_STATISTICS))
+def test_non_finite_input_is_rejected(name, position, bad):
+    vectors = [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 6.0], [5.0, 3.0, 4.0, 1.0, 2.0]]
+    vectors[position][2] = bad
+    with pytest.raises(InputError, match="finite"):
+        _STATISTICS[name](*vectors)
+
+
+def test_partial_correlation_rejects_a_non_finite_control():
+    with pytest.raises(InputError, match="finite"):
+        partial_correlation([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0], [1.0, math.nan, 2.0, 3.0])
+
+
+def test_correlation_matrix_rejects_columns_of_different_lengths():
+    with pytest.raises(InputError, match="equal length"):
+        correlation_matrix({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 4.0, 3.0]})
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_results_are_bit_identical_under_power_of_two_rescaling(exponent):
+    rng = np.random.default_rng(83)
+    for _ in range(40):
+        a, b, z = _random_vectors(rng, n=int(rng.integers(4, 13)), count=3)
+        try:
+            report = compare_columns(a, b, {"z": z})
+            matrix, _ = correlation_matrix({"a": a, "b": b, "z": z})
+        except UndefinedStatisticError:
+            continue
+        a, b, z = (np.ldexp(v, exponent) for v in (a, b, z))
+        assert compare_columns(a, b, {"z": z}) == report
+        assert np.array_equal(correlation_matrix({"a": a, "b": b, "z": z})[0], matrix)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pearson_of_a_vector_with_itself_is_one_at_extreme_magnitudes(scale):
+    x = np.array([1.0, 2.0, 3.0, 4.0]) * scale
+    assert pearson(x, x) == (1.0, 0.0)
