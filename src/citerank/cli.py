@@ -29,7 +29,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, fileio, ingest, network, rankstats, scoring, synthnet
-from .errors import CiteRankError, EmptyNetworkError, InputError, MissingColumnError, NumericError
+from .errors import CiteRankError, EmptyNetworkError, EncodingError, InputError
+from .errors import MissingColumnError, NumericError
 from .pagerank import DanglingPolicy, PageRankConfig, pagerank
 
 PROFILE_ENV_VAR = "CITERANK_PROFILES"
@@ -99,8 +100,11 @@ def _cmd_build(args) -> int:
     if args.threshold is not None:
         profile = replace(profile, publication_threshold=args.threshold)
     records_path = _require_file(args.records)
-    with open(records_path, encoding="utf-8-sig") as handle:
-        parsed = ingest.parse_records(handle, strict=args.strict)
+    try:
+        with open(records_path, encoding="utf-8-sig") as handle:
+            parsed = ingest.parse_records(handle, strict=args.strict)
+    except UnicodeDecodeError as exc:
+        raise EncodingError(records_path, exc) from exc
 
     out = _prepare_out(args.out)
     manifest = RunManifest(
@@ -201,12 +205,14 @@ def _cmd_pagerank(args) -> int:
 
 
 def _columns(table: scoring.ScoreTable, names) -> list:
-    """The named columns of a score table, in the order given."""
-    for name in names:
+    """The named columns of a score table, in the order given; each may be named once."""
+    for k, name in enumerate(names):
         if name not in table.columns:
             raise MissingColumnError(
                 f"table has no column {name!r}; available: {', '.join(table.column_names)}"
             )
+        if name in names[:k]:
+            raise InputError(f"column {name!r} is named twice")
     return [table.columns[name] for name in names]
 
 
@@ -411,8 +417,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CiteRankError, OSError, UnicodeDecodeError) as exc:
-        # an input file that is not UTF-8 is a user error; any other ValueError is a bug
+    except (CiteRankError, OSError) as exc:  # an input that is not UTF-8 raises EncodingError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # pragma: no cover - defensive

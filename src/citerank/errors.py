@@ -25,6 +25,13 @@ class TableFormatError(CiteRankError):
     """A CSV table is malformed (bad header, missing value, bad number)."""
 
 
+class EncodingError(CiteRankError):
+    """An input file is not valid UTF-8; no line is named, as files are decoded by chunk."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        super().__init__(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
 class DegenerateNetworkError(CiteRankError):
     """The network is too small for the requested statistic (N < 2)."""
 

@@ -3,6 +3,11 @@
 All numeric output is printed with 15 significant digits and rows are
 emitted in a fixed order, so identical inputs always produce byte-identical
 files.
+
+The CSV readers read rows in blocks. read_edge_list keeps one str per
+distinct id or weight spelling, shared by every row that has it, and returns
+the weights as int64. read_score_table and read_correlation_csv keep each
+cell as read, as their cells seldom repeat, until the columns become float64.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, TableFormatError
+from .errors import EncodingError, InputError, TableFormatError
 from .network import INT64_MAX, CitationNetwork
 from .scoring import ScoreTable
 
@@ -36,8 +41,8 @@ __all__ = [
     "write_json",
 ]
 
-# edge-list rows per write: 4,096 raised the peak RSS of `build` by 0.2 MB on a
-# 16k-edge network, and 1,024 writes as fast
+# CSV rows per block read or written: 4,096 raised the peak RSS of `build` by
+# 0.2 MB on a 16k-edge network, and 1,024 writes as fast
 _BLOCK_ROWS = 1024
 
 
@@ -67,39 +72,55 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="
         out.writerows(rows)
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]], Exception | None]:
+def _read_rows(path, share: bool = False) -> tuple[list[str], list[list[str]], Exception | None]:
     """Read a CSV into its stripped header and one list of stripped fields per column.
 
     Blank rows are skipped; every other row must have as many fields as the
     header. Reading stops at the first row that has another width or cannot
     be read, and that row's error is returned, not raised: _check_rows
-    reports a bad value on an earlier line first. Rows go into one flat list
-    as they are read, so no per-row object outlives its row.
+    reports a bad value on an earlier line first. Rows are split into the
+    columns in blocks of _BLOCK_ROWS, so no per-row object outlives its
+    block; with share, equal fields of the file are kept as one str.
     """
-    unread = None
+    unread = header = None
+    shared: dict[str, str] = {}
+    columns: list[list[str]] = []
+    block: list[str] = []
+
+    def flush():
+        fields = list(map(str.strip, block))
+        if share:
+            fields = list(map(shared.setdefault, fields, fields))
+        for k, column in enumerate(columns):
+            column += fields[k :: len(columns)]
+        block.clear()
+
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [field.strip() for field in next(reader, [])]
-        except csv.Error as exc:  # a field past csv.field_size_limit()
-            raise TableFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-        width = len(header)
-        fields: list[str] = []
-        extend = fields.extend
-        try:
-            for row in reader:
-                if len(row) == width:
-                    extend(row)
-                elif row:
-                    unread = TableFormatError(
-                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-                    )
+            width = len(header)
+            columns += [[] for _ in header]
+            while unread is None:
+                line = reader.line_num
+                for row in islice(reader, _BLOCK_ROWS):
+                    if len(row) == width:
+                        block += row
+                    elif row:
+                        unread = TableFormatError(
+                            f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                        )
+                        break
+                flush()
+                if reader.line_num == line:  # the file is read to the end
                     break
-        except csv.Error as exc:
+        except csv.Error as exc:  # a field past csv.field_size_limit()
             unread = TableFormatError(f"{path}:{reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
-            unread = exc
-    columns = [list(map(str.strip, islice(fields, k, None, width))) for k in range(width)]
+            unread = EncodingError(path, exc)
+    if header is None:  # not even the header could be read
+        raise unread
+    flush()
     return header, columns, unread
 
 
@@ -143,12 +164,13 @@ def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
 
 def read_edge_list(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a `source,target,weight` CSV into source ids, target ids and int64 weights."""
-    header, columns, unread = _read_rows(path)
+    header, columns, unread = _read_rows(path, share=True)
     if header != ["source", "target", "weight"]:
         raise TableFormatError(f"{path}: expected header 'source,target,weight'")
     sources, targets, raw_weights = columns
     try:
-        weights = np.fromiter(map(int, raw_weights), dtype=np.int64, count=len(raw_weights))
+        value = {spelling: int(spelling) for spelling in set(raw_weights)}  # each spelling parsed once
+        weights = np.fromiter(map(value.__getitem__, raw_weights), np.int64, len(raw_weights))
         valid = not (weights <= 0).any() and all(sources) and all(targets)
     except (ValueError, OverflowError):  # not an integer, or beyond int64
         valid = False

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import EncodingError, InputError, ParseError
 from .network import CitationNetwork
 
 __all__ = [
@@ -135,6 +135,8 @@ def load_profiles(path) -> dict[str, SubjectProfile]:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputError(f"profile config {path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise EncodingError(path, exc) from exc
     if not isinstance(raw, list):
         raise InputError(f"profile config {path}: expected a list of profile objects")
     profiles: dict[str, SubjectProfile] = {}
@@ -422,8 +424,8 @@ def apply_threshold(records: RecordTable, rows: np.ndarray, profile: SubjectProf
 
 
 # citation pairs expanded per block: the int64 temporaries of one block stay
-# a few MB however many pairs the records make
-_BLOCK_PAIRS = 1 << 18
+# near 1 MB however many pairs the records make
+_BLOCK_PAIRS = 1 << 14
 
 
 def _citation_pairs(
@@ -439,17 +441,21 @@ def _citation_pairs(
     citing = node_of[records.affiliations]
     owner = np.repeat(np.arange(n), np.diff(records.affiliation_offsets))
     kept = (citing >= 0) & rows[owner]
-    # row n stands for "no record" and has none
-    per_record = np.bincount(owner[kept], minlength=n + 1)
+    per_record = np.bincount(owner[kept], minlength=n)
     citing = citing[kept]
     citing_start = _offsets(per_record)[:-1]
+    del owner, kept
 
-    # retained cited affiliations of references to kept rows, with their citing record
-    citing_row = np.repeat(np.arange(n), np.diff(records.reference_offsets))
-    citing_row[~np.append(rows, False)[records.cited]] = n  # cited -1 reads the appended False
-    citing_row = np.repeat(citing_row, np.diff(records.reference_affiliation_offsets))
-    cited = node_of[records.reference_affiliations]
-    kept = (cited >= 0) & (per_record[citing_row] > 0)
+    # the references that count: from a record with a retained affiliation to
+    # a kept row; only their cited affiliations are looked at
+    counted = np.append(rows, False)[records.cited]  # cited -1 reads the appended False
+    counted &= np.repeat(per_record > 0, np.diff(records.reference_offsets))
+    listed = np.diff(records.reference_affiliation_offsets)
+    citing_row = np.searchsorted(records.reference_offsets, np.flatnonzero(counted), side="right") - 1
+    citing_row = np.repeat(citing_row, listed[counted])
+    cited = node_of[records.reference_affiliations[np.repeat(counted, listed)]]
+    del counted, listed
+    kept = cited >= 0
     cited, citing_row = cited[kept], citing_row[kept]
     del kept
 

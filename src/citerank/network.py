@@ -92,9 +92,13 @@ class CitationNetwork:
         keys = source * n
         keys += target
         del source, target
-        if weight.size == 0 or int(weight.max()) == 1:  # weights are positive: all are 1
-            keys, weight = np.unique(keys, return_counts=True)
-        else:
+        if weight.size and int(weight.max()) == 1:  # weights are positive: all are 1
+            keys.sort()  # in place, where np.unique would sort a copy
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
+            weight = np.diff(np.append(starts, keys.size))
+            keys = keys[starts]
+            del starts
+        elif weight.size:
             order = np.argsort(keys)  # integer sums do not depend on the order of repeats
             keys = keys[order]  # gather one at a time, so the unsorted keys go first
             weight = weight[order]

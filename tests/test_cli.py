@@ -428,9 +428,13 @@ def score_table(tmp_path):
 
 
 def test_compare_identical_columns(tmp_path, score_table):
-    path, _, _, _ = score_table
+    path, arwu, _, _ = score_table
+    # the same values under a second name: naming one column twice is an error
+    header, *rows = path.read_text().splitlines()
+    rows = [f"{row},{float(value)!r}" for row, value in zip(rows, arwu)]
+    path.write_text("\n".join([f"{header},arwu_copy", *rows]) + "\n")
     out = tmp_path / "cmp"
-    rc = main(["compare", str(path), "--col-a", "arwu_score", "--col-b", "arwu_score",
+    rc = main(["compare", str(path), "--col-a", "arwu_score", "--col-b", "arwu_copy",
                "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
@@ -621,6 +625,26 @@ def test_pca_and_compare_name_a_missing_column_alike(tmp_path, score_table, caps
     )
 
 
+@pytest.mark.parametrize(
+    "command, repeated",
+    [
+        (["compare", "--col-a", "arwu_score", "--col-b", "arwu_score"], "arwu_score"),
+        (["compare", "--col-a", "arwu_score", "--col-b", "pagerank_score",
+          "--control", "citations", "--control", "citations"], "citations"),
+        (["compare", "--col-a", "arwu_score", "--col-b", "pagerank_score",
+          "--control", "pagerank_score"], "pagerank_score"),
+        (["pca", "--retain", "1", "--columns", "arwu_score,arwu_score,citations"], "arwu_score"),
+    ],
+    ids=["col-b", "control", "control-is-col-b", "columns"],
+)
+def test_a_column_named_twice_exits_one(tmp_path, score_table, capsys, command, repeated):
+    path, *_ = score_table
+    table = [str(path)] if command[0] == "compare" else ["--table", str(path)]
+    assert main([command[0], *table, *command[1:], "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: column {repeated!r} is named twice\n"
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -754,12 +778,35 @@ def test_non_utf8_inputs_exit_one(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_bytes(b"source,target,weight\nuniversit\xe9,b,1\n")
     assert main(["pagerank", str(edges), "--out", str(tmp_path / "pr")]) == 1
-    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {edges}: not valid UTF-8 (invalid continuation byte)\n"
     records = tmp_path / "records.jsonl"
     records.write_bytes(RECORDS.read_bytes() + b'{"pub_id": "p\xe9"}\n')
     argv = ["build", str(records), "--subject", "TEL", "--out", str(tmp_path / "net")]
     assert main(argv) == 1
-    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {records}: not valid UTF-8 (invalid continuation byte)\n"
+
+
+@pytest.mark.parametrize("kind", ["nodes", "table", "corr", "profiles"])
+def test_undecodable_byte_names_its_file(tmp_path, capsys, kind):
+    good = {
+        "edges": b"source,target,weight\na,b,1\n",
+        "nodes": b"institution,in_degree,degree_centrality\na,0,0\nb,1,1\n",
+        "table": b"institution,x,y\na,1,2\nb,2,1\nc,3,3\n",
+        "corr": b"variable,x,y\nx,1,0.5\ny,0.5,1\n",
+        "profiles": b'[{"name": "T", "category": "Telecommunications", "indicator_weights": {"PUB": 1}}]',
+    }
+    files = {}
+    for name, data in good.items():
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_bytes(data.replace(b"1", b"1\xff", 1) if name == kind else data)
+    argv = {
+        "nodes": ["pagerank", files["edges"], "--nodes", files["nodes"]],
+        "table": ["compare", files["table"], "--col-a", "x", "--col-b", "y"],
+        "corr": ["pca", "--corr", files["corr"], "--retain", "1"],
+        "profiles": ["build", RECORDS, "--subject", "T", "--profiles", files["profiles"]],
+    }[kind]
+    assert main([*map(str, argv), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {files[kind]}: not valid UTF-8 (invalid start byte)\n"
 
 
 def test_full_pipeline_byte_determinism(tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from citerank import CitationNetwork, ScoreTable
-from citerank.errors import TableFormatError
+from citerank.errors import CiteRankError, TableFormatError
 from citerank.network import INT64_MAX
 from citerank.fileio import (
+    _BLOCK_ROWS,
     fmt,
     read_correlation_csv,
     read_edge_list,
@@ -200,6 +201,50 @@ def test_bad_value_is_reported_before_a_later_field_past_the_csv_limit(tmp_path)
     path.write_text(f"source,target,weight\na,b,zero\n\nb,{huge},1\n")
     with pytest.raises(TableFormatError, match=r"edges\.csv:2: weight 'zero' is not an integer$"):
         read_edge_list(path)
+
+
+SEAM_DEFECTS = [
+    pytest.param(b"a,b,zero", "{line}: weight 'zero' is not an integer", id="bad-weight"),
+    pytest.param(b"a, ,1", "{line}: empty institution id", id="empty-id"),
+    pytest.param(b"a,b,1,1", "{line}: expected 3 fields, got 4", id="width"),
+    pytest.param(
+        b"a,%s,1" % (b"x" * (csv.field_size_limit() + 1)),
+        f"{{line}}: field larger than field limit ({csv.field_size_limit()})",
+        id="field-limit",
+    ),
+    pytest.param(b"a\xff,b,1", ": not valid UTF-8 (invalid start byte)", id="not-utf8"),
+]
+
+
+@pytest.mark.parametrize("row", [_BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS * 3 // 2])
+@pytest.mark.parametrize("defect, message", SEAM_DEFECTS)
+def test_edge_list_errors_at_block_seams(tmp_path, row, defect, message):
+    # the last row of the first block, the first of the second, and one inside it
+    path = tmp_path / "edges.csv"
+    rows = [b"i%d,i%d,1" % (k, k + 1) for k in range(2 * _BLOCK_ROWS)]
+    rows[row - 1] = defect
+    rows[-1] = b"y,z,zero"  # a later bad value is not the one reported
+    path.write_bytes(b"\n".join([b"source,target,weight", *rows]) + b"\n")
+    with pytest.raises(CiteRankError) as exc:
+        read_edge_list(path)
+    assert str(exc.value) == f"{path}" + message.format(line=f":{row + 1}")
+    rows[9] = b"p,q,-1"  # a bad value on an earlier row comes first
+    path.write_bytes(b"\n".join([b"source,target,weight", *rows]) + b"\n")
+    with pytest.raises(TableFormatError) as exc:
+        read_edge_list(path)
+    assert str(exc.value) == f"{path}:11: weight must be positive, got -1"
+
+
+def test_edge_list_keeps_one_str_per_distinct_id(tmp_path):
+    rng = np.random.default_rng(4)
+    ids = [f"inst {k:04d}" for k in range(300)]
+    rows = [f"{ids[i]},{ids[j]},{w + 1}" for i, j, w in rng.integers(0, 300, (3 * _BLOCK_ROWS, 3))]
+    rows[5] = f" {ids[7]} ,{ids[8]},12"  # padding is stripped before ids are shared
+    path = tmp_path / "edges.csv"
+    path.write_text("\n".join(["source,target,weight", *rows]) + "\n")
+    sources, targets, weights = read_edge_list(path)
+    assert len({id(x) for x in sources + targets}) == len(set(sources + targets))
+    assert (sources[5], targets[5], weights[5]) == (ids[7], ids[8], 12)
 
 
 def test_edge_list_round_trip_at_benchmark_scale(tmp_path):

@@ -702,7 +702,7 @@ def test_record_table_pipeline_matches_per_record_reference():
     check()
 
 
-@pytest.mark.parametrize("block_pairs", [1, 7, 1 << 18])
+@pytest.mark.parametrize("block_pairs", [1, 7, ingest._BLOCK_PAIRS])
 def test_pair_expansion_in_blocks_matches_reference(monkeypatch, block_pairs):
     # blocks smaller than one record's pairs, a few pairs, and the default size
     monkeypatch.setattr(ingest, "_BLOCK_PAIRS", block_pairs)
