@@ -12,10 +12,13 @@ an institution is dropped, and carries the indicator weights used for
 composite scoring.
 
 parse_records reads every line once into a RecordTable: per-record columns,
-and int64 arrays of institution positions and cited-record rows.
-filter_records selects a subject's records as a bool row mask, never a
-copy, and apply_threshold and build_network read the table through it with
-numpy, never one Python object per reference:
+and int64 arrays of institution positions and cited-record rows. No Python
+object per reference outlives its line: a line's reference ids are kept as
+one joined str until the last line is read, then looked up among the record
+ids into the cited-row column and dropped. filter_records selects a
+subject's records as a bool row mask, never a copy, and apply_threshold and
+build_network read the table through it with numpy, never one Python object
+per reference:
 
     rows = filter_records(table, profile)
     net = build_network(table, rows, apply_threshold(table, rows, profile))
@@ -27,7 +30,7 @@ import json
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -56,7 +59,7 @@ INDICATORS = ("PUB", "CNCI", "IC", "TOP", "AWD")
 
 
 class PublicationRecord(NamedTuple):
-    """One record, as a RecordTable item; each reference is a (pub_id or None, affiliations) tuple."""
+    """One record, as a RecordTable item; a reference is a (cited pub_id or None, affiliations) tuple."""
 
     pub_id: str
     year: int
@@ -169,10 +172,13 @@ class ParseIssue:
     message: str
 
 
-def _offsets(counts) -> np.ndarray:
-    """Offsets of a ragged column from its row lengths: row k is values[offsets[k]:offsets[k + 1]]."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+def _offsets(counts: array) -> np.ndarray:
+    """Offsets of a ragged column, summed in place (no copy) over a 0 and its row lengths.
+
+    Row k is values[offsets[k]:offsets[k + 1]].
+    """
+    offsets = np.frombuffer(counts, dtype=np.int64)
+    np.cumsum(offsets, out=offsets)
     return offsets
 
 
@@ -183,16 +189,17 @@ class RecordTable(Sequence):
     Record k has pub_ids[k], years[k] and categories[k], the affiliations
     affiliations[affiliation_offsets[k]:affiliation_offsets[k + 1]], and the
     references reference_offsets[k] up to reference_offsets[k + 1]. Reference
-    r has reference_ids[r] (trimmed, or None), cited[r] (the row of the record
-    it cites in this table, or -1 when that record is not in it) and the
-    affiliations reference_affiliations[reference_affiliation_offsets[r]:...].
-    An affiliation is a position in `institutions`, the canonical ids of the
-    table's records in first-read order, and `institution_index` maps each to its
-    position; each affiliation list holds distinct ids in first-read order.
-    pub_ids, years, categories and reference_ids are object arrays of the
-    values read, so a year is a Python int of any size; the other arrays are
-    int64. Every array is read-only. len() is O(1), and item k is built as a
-    PublicationRecord when it is read.
+    r has cited[r] (the row of the record it cites in this table, or -1 when
+    its trimmed id names no record of it or is null) and the affiliations
+    reference_affiliations[reference_affiliation_offsets[r]:...]. The id as
+    read is not kept. An affiliation is a position in `institutions`, the
+    canonical ids of the table's records in first-read order, and
+    `institution_index` maps each to its position; each affiliation list
+    holds distinct ids in first-read order. pub_ids, years and categories are
+    object arrays of the values read, so a year is a Python int of any size,
+    and equal categories are one str; the other arrays are int64. Every array
+    is read-only. len() is O(1), and item k is built as a PublicationRecord
+    when it is read, each reference giving the cited record's pub_id or None.
     """
 
     pub_ids: np.ndarray
@@ -203,7 +210,6 @@ class RecordTable(Sequence):
     affiliation_offsets: np.ndarray
     affiliations: np.ndarray
     reference_offsets: np.ndarray
-    reference_ids: np.ndarray
     cited: np.ndarray
     reference_affiliation_offsets: np.ndarray
     reference_affiliations: np.ndarray
@@ -228,11 +234,12 @@ class RecordTable(Sequence):
         affiliations = tuple(map(name, self.affiliations[low:high].tolist()))
         first, last = self.reference_offsets[k : k + 2].tolist()
         bounds = self.reference_affiliation_offsets[first : last + 1].tolist()
-        cited = self.reference_affiliations[bounds[0] : bounds[-1]].tolist()
+        listed = self.reference_affiliations[bounds[0] : bounds[-1]].tolist()
         base = bounds[0]
+        pub_id = self.pub_ids.__getitem__
         references = tuple(
-            (self.reference_ids[r], tuple(map(name, cited[start - base : end - base])))
-            for r, start, end in zip(range(first, last), bounds, bounds[1:])
+            (pub_id(row) if row >= 0 else None, tuple(map(name, listed[start - base : end - base])))
+            for row, start, end in zip(self.cited[first:last].tolist(), bounds, bounds[1:])
         )
         return PublicationRecord(
             self.pub_ids[k], self.years[k], self.categories[k], affiliations, references
@@ -251,8 +258,10 @@ def _intern(names, what: str, index: dict[str, int]) -> list[int]:
     """Positions in `index` of the distinct canonical ids of a JSON affiliation list, first read first.
 
     A canonical id is the name trimmed and case-folded; an empty one is
-    skipped. An id not yet in `index` is added to it; parse_records removes
-    it again if the line is rejected.
+    skipped. An id not yet in `index` must encode as UTF-8, since it may be
+    written to the CSV outputs; a JSON escape can make a lone surrogate,
+    which does not. It is then added to `index`; parse_records removes it
+    again if the line is rejected.
     """
     if not isinstance(names, list):
         raise ValueError(f"{what} must be a list of strings")
@@ -262,7 +271,13 @@ def _intern(names, what: str, index: dict[str, int]) -> list[int]:
             raise ValueError(f"{what} must be a list of strings")
         canon = name.strip().casefold()
         if canon:
-            k = index.setdefault(canon, len(index))
+            k = index.get(canon)
+            if k is None:
+                try:
+                    canon.encode()
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"{what} must be valid Unicode: {name!r} ({exc.reason})") from None
+                k = index[canon] = len(index)
             if k not in ids:
                 ids.append(k)
     return ids
@@ -270,7 +285,9 @@ def _intern(names, what: str, index: dict[str, int]) -> list[int]:
 
 def _parse_line(line: str, index: dict[str, int]):
     """One record's columns: pub_id, year, category, affiliation positions,
-    reference ids, per-reference affiliation counts and their positions."""
+    reference ids, per-reference affiliation counts and their positions.
+    The reference ids, trimmed and a null read as "", are one str joined by
+    NUL, or their list when an id itself holds a NUL."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -296,22 +313,25 @@ def _parse_line(line: str, index: dict[str, int]):
     raw_refs = obj.get("references")
     if not isinstance(raw_refs, list):
         raise ValueError("references must be a list")
-    ref_ids: list[str | None] = []
+    ref_ids: list[str] = []
     ref_counts: list[int] = []
     ref_affiliations: list[int] = []
     for ref in raw_refs:
         if not isinstance(ref, dict):
             raise ValueError("each reference must be an object")
         ref_id = ref.get("pub_id")
-        if ref_id is not None:
-            if not isinstance(ref_id, str):
-                raise ValueError("reference pub_id must be a string or null")
-            ref_id = ref_id.strip()
+        if ref_id is None:
+            ref_id = ""  # names no record, as a pub_id is never empty
+        elif not isinstance(ref_id, str):
+            raise ValueError("reference pub_id must be a string or null")
         ids = _intern(ref.get("affiliations"), "reference affiliations", index)
-        ref_ids.append(ref_id)
+        ref_ids.append(ref_id.strip())
         ref_counts.append(len(ids))
         ref_affiliations += ids
-    return pub_id.strip(), year, category.strip(), affiliations, ref_ids, ref_counts, ref_affiliations
+    joined = "\0".join(ref_ids)
+    if joined.count("\0") >= len(ref_ids):  # splitting on NUL would cut an id
+        joined = ref_ids
+    return pub_id.strip(), year, category.strip(), affiliations, joined, ref_counts, ref_affiliations
 
 
 def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
@@ -320,10 +340,11 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     Each valid line is checked and normalised once: ids are trimmed and
     affiliations become canonical institution ids, stored as positions in
     the table's institution index. After the last line every reference id
-    is looked up among the record ids. Malformed lines and duplicate pub_ids
-    are collected as ParseIssues with their line numbers while valid lines
-    proceed; in strict mode the first issue raises ParseError instead. Blank
-    lines are ignored.
+    is looked up among the record ids, so a record may cite one read after
+    it; until then each line's reference ids are one str. Malformed lines
+    and duplicate pub_ids are collected as ParseIssues with their line
+    numbers while valid lines proceed; in strict mode the first issue raises
+    ParseError instead. Blank lines are ignored.
     """
     index: dict[str, int] = {}
     row_of: dict[str, int] = {}
@@ -331,11 +352,13 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     pub_ids: list[str] = []
     years: list[int] = []
     categories: list[str] = []
-    reference_ids: list[str | None] = []
-    # int64 columns grow in place, 8 bytes a value and no Python object each
-    affiliation_counts, affiliations = array("q"), array("q")
-    reference_counts = array("q")
-    reference_affiliation_counts, reference_affiliations = array("q"), array("q")
+    category_of: dict[str, str] = {}  # one str per distinct category
+    reference_ids: list[str | list[str]] = []  # one entry per line with references
+    # int64 columns grow in place, 8 bytes a value and no Python object each;
+    # each counts column starts with the 0 that _offsets sums it from
+    affiliation_counts, affiliations = array("q", [0]), array("q")
+    reference_counts = array("q", [0])
+    reference_affiliation_counts, reference_affiliations = array("q", [0]), array("q")
     issues: list[ParseIssue] = []
 
     for line_no, line in enumerate(stream, start=1):
@@ -352,11 +375,12 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
                 line_of.append(line_no)
                 pub_ids.append(pub_id)
                 years.append(year)
-                categories.append(category)
+                categories.append(category_of.setdefault(category, category))
                 affiliation_counts.append(len(affs))
                 affiliations.extend(affs)
-                reference_counts.append(len(ref_ids))
-                reference_ids += ref_ids
+                reference_counts.append(len(ref_counts))
+                if ref_counts:
+                    reference_ids.append(ref_ids)
                 reference_affiliation_counts.extend(ref_counts)
                 reference_affiliations.extend(ref_affs)
                 continue
@@ -367,9 +391,9 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
             raise ParseError(f"line {line_no}: {message}")
         issues.append(ParseIssue(line_no, message))
 
-    cited = np.fromiter(
-        map(row_of.get, reference_ids, repeat(-1)), dtype=np.int64, count=len(reference_ids)
-    )
+    reference_offsets = _offsets(reference_counts)
+    ids = chain.from_iterable(k.split("\0") if type(k) is str else k for k in reference_ids)
+    cited = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, int(reference_offsets[-1]))
     table = RecordTable(
         np.array(pub_ids, dtype=object),
         np.array(years, dtype=object),
@@ -378,8 +402,7 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
         MappingProxyType(index),
         _offsets(affiliation_counts),
         np.frombuffer(affiliations, dtype=np.int64),
-        _offsets(reference_counts),
-        np.array(reference_ids, dtype=object),
+        reference_offsets,
         cited,
         _offsets(reference_affiliation_counts),
         np.frombuffer(reference_affiliations, dtype=np.int64),
@@ -443,7 +466,7 @@ def _citation_pairs(
     kept = (citing >= 0) & rows[owner]
     per_record = np.bincount(owner[kept], minlength=n)
     citing = citing[kept]
-    citing_start = _offsets(per_record)[:-1]
+    citing_start = np.cumsum(per_record) - per_record
     del owner, kept
 
     # the references that count: from a record with a retained affiliation to

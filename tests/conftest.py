@@ -172,7 +172,13 @@ def _reference_institutions(names, what: str) -> tuple[str, ...]:
         if not isinstance(name, str):
             raise ValueError(f"{what} must be a list of strings")
         canon = name.strip().casefold()
-        if canon and canon not in ids:
+        if not canon:
+            continue
+        try:
+            canon.encode()
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{what} must be valid Unicode: {name!r} ({exc.reason})") from None
+        if canon not in ids:
             ids.append(canon)
     return tuple(ids)
 
@@ -216,7 +222,11 @@ def _reference_parse_line(line: str) -> PublicationRecord:
 
 
 def reference_parse_records(stream, strict: bool = False) -> ParseResult:
-    """ParseResult whose records are a list of PublicationRecord, parsed line by line."""
+    """ParseResult whose records are a list of PublicationRecord, parsed line by line.
+
+    A reference id, once trimmed, that names no parsed record reads as None,
+    as it does in a RecordTable.
+    """
     records: list[PublicationRecord] = []
     issues: list[ParseIssue] = []
     first_line_of: dict[str, int] = {}
@@ -236,6 +246,14 @@ def reference_parse_records(stream, strict: bool = False) -> ParseResult:
         if strict:
             raise ParseError(f"line {line_no}: {message}")
         issues.append(ParseIssue(line_no, message))
+    pub_ids = {rec.pub_id for rec in records}
+    records = [
+        rec._replace(references=tuple(
+            (ref_id if ref_id in pub_ids else None, affiliations)
+            for ref_id, affiliations in rec.references
+        ))
+        for rec in records
+    ]
     return ParseResult(records, issues)
 
 

@@ -105,6 +105,38 @@ def test_build_lenient_mode_records_issues(tmp_path):
     assert issues[1][0] == "21"
 
 
+@pytest.fixture
+def surrogate_records(tmp_path):
+    """The sample records and, on line 21, an affiliation with a lone surrogate.
+
+    "\\ud800" is valid JSON, but no UTF-8 output file can hold what it decodes to.
+    """
+    bad = json.dumps({"pub_id": "pS", "year": 2012, "category": "Telecommunications",
+                      "affiliations": ["A\ud800"], "references": []})
+    path = tmp_path / "records.jsonl"
+    path.write_text(RECORDS.read_text() + bad + "\n", encoding="utf-8")
+    return path
+
+
+def test_build_skips_a_lone_surrogate_as_a_parse_issue(tmp_path, surrogate_records):
+    clean, out = tmp_path / "clean", tmp_path / "o"
+    assert main(["build", str(RECORDS), "--subject", "TEL", "--out", str(clean)]) == 0
+    assert main(["build", str(surrogate_records), "--subject", "TEL", "--out", str(out)]) == 0
+    issues = _read_csv(out / "parse_issues.csv")
+    assert issues[1:] == [["21", "affiliations must be valid Unicode: 'A\\ud800' (surrogates not allowed)"]]
+    written, expected = _tree_bytes(out), _tree_bytes(clean)
+    del written[Path("parse_issues.csv")], written[Path("manifest.json")], expected[Path("manifest.json")]
+    assert written == expected  # every data file whole, and no other file left
+
+
+def test_build_strict_stops_at_a_lone_surrogate(tmp_path, surrogate_records, capsys):
+    out = tmp_path / "o"
+    rc = main(["build", str(surrogate_records), "--subject", "TEL", "--strict", "--out", str(out)])
+    assert rc == 1
+    assert "line 21: affiliations must be valid Unicode: 'A\\ud800'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_unknown_subject_fails(tmp_path, capsys):
     rc = main(["build", str(RECORDS), "--subject", "NOPE", "--out", str(tmp_path / "o")])
     assert rc == 1

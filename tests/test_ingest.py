@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,9 +120,9 @@ def test_rejected_lines_leave_no_institutions_behind():
     bad_ref = json.dumps({"pub_id": "p2", "year": 2012, "category": "c", "affiliations": ["Ghost U"],
                           "references": [{"pub_id": "x", "affiliations": ["Ref Ghost"]}, 7]})
     lines = [_line("p1", affils=("Uni A",)), bad_ref, _line("p1", affils=("Dup U",)),
-             _line("p3", affils=("New U", "Uni A"))]
+             _line("p4", affils=("Fresh U", "Lone \ud800")), _line("p3", affils=("New U", "Uni A"))]
     res = _parse(lines)
-    assert [i.line for i in res.issues] == [2, 3]
+    assert [i.line for i in res.issues] == [2, 3, 4]
     assert res.records.institutions == ("uni a", "new u")
     assert dict(res.records.institution_index) == {"uni a": 0, "new u": 1}
     assert [r.affiliations for r in res.records] == [("uni a",), ("new u", "uni a")]
@@ -148,6 +149,7 @@ def _ref(**fields):
 
 _AFFILS = "affiliations must be a list of strings"
 _REF_AFFILS = "reference affiliations must be a list of strings"
+_SURROGATE = "must be valid Unicode: 'A\\ud800' (surrogates not allowed)"
 
 # one line per check in the order the parser makes them; where a line breaks
 # several rules, the first check in that order names it
@@ -190,6 +192,10 @@ PARSE_MESSAGES = [
     (_record(affiliations=[{"a": 1}]), _AFFILS),
     (_record(affiliations=["  ", 5]), _AFFILS),
     (_record(affiliations=[1], references="x"), _AFFILS),
+    # a JSON escape can make a lone surrogate, which no output file can hold
+    (_record(affiliations=["Uni-A", "A\ud800"]), f"affiliations {_SURROGATE}"),
+    (_record(affiliations=["A\ud800", 1]), f"affiliations {_SURROGATE}"),
+    (_record(affiliations=[1, "A\ud800"]), _AFFILS),
     (_record(affiliations=[]), "affiliations must be non-empty"),
     (_record(affiliations=["  ", "\t"]), "affiliations must be non-empty"),
     (_record(affiliations=[" "], references="x"), "affiliations must be non-empty"),
@@ -207,6 +213,7 @@ PARSE_MESSAGES = [
     (_record(refs=[_ref(affiliations=[{"a": 1}])]), _REF_AFFILS),
     (_record(refs=[_ref(), _ref(pub_id=None, affiliations=[2])]), _REF_AFFILS),
     (_record(refs=[_ref(affiliations=[1]), "p1"]), _REF_AFFILS),
+    (_record(refs=[_ref(affiliations=["B", "A\ud800"])]), f"reference affiliations {_SURROGATE}"),
     (_line("p1"), "duplicate pub_id 'p1' (first seen on line 1)"),
     (_line(" p1 "), "duplicate pub_id 'p1' (first seen on line 1)"),
 ]
@@ -410,6 +417,8 @@ def test_build_ignores_references_outside_dataset():
     net = build_network(res.records, _all(res.records), {"a", "b"})
     assert net.n_edges == 0
     assert net.node_ids == ("a", "b")
+    # an id that names no record reads as None, like a null one
+    assert res.records[0].references == ((None, ("b",)), (None, ("b",)))
 
 
 def test_build_matches_padded_reference_ids():
@@ -557,11 +566,39 @@ def test_parsed_references_add_no_tracked_objects():
 
     tracked_after_parse(lines)  # first calls may cache what later ones reuse
     base, result = tracked_after_parse(lines)
-    references = len(result.records.reference_ids)
+    references = int(result.records.reference_offsets[-1])
     del result
     grown, result = tracked_after_parse(repeated)
-    assert references and len(result.records.reference_ids) == 50 * references
+    assert references and int(result.records.reference_offsets[-1]) == 50 * references
     assert grown <= base
+
+
+def test_parsed_memory_does_not_grow_with_reference_id_length():
+    # the ids a reference names are looked up and dropped: outside ids of 8
+    # or of 200 characters leave the same table behind
+    def corpus(width):
+        rng = np.random.default_rng(3)
+        return [
+            _line(f"p{k}", affils=(f"U{k % 50}",), refs=[
+                (f"{int(n):0{width}d}", (f"U{int(n) % 50}",)) for n in rng.integers(0, 10**8, 20)
+            ])
+            for k in range(1000)
+        ]
+
+    def retained(lines):
+        tracemalloc.start()
+        try:
+            result = parse_records(lines)
+            current, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(result.records.reference_offsets[-1]) == 20_000
+        return current
+
+    short, long = corpus(8), corpus(200)
+    retained(short)  # first calls may cache what later ones reuse
+    # 20,000 ids of 192 more characters each would hold about 3.8 MB more
+    assert abs(retained(long) - retained(short)) < 64_000
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +649,10 @@ def test_record_table_is_a_read_only_sequence():
     assert list(table) == [table[0], table[1], table[2]] == records
     assert table[-1] == records[-1] and table[1:] == records[1:]
     assert type(table[0].year) is int and type(table[0].pub_id) is str
+    assert table.categories[0] is table.categories[2]  # one str per distinct category
     with pytest.raises(IndexError):
         table[3]
-    for name in ("affiliations", "cited", "reference_affiliations", "pub_ids", "reference_ids"):
+    for name in ("affiliations", "cited", "reference_affiliations", "pub_ids", "categories"):
         with pytest.raises(ValueError):
             getattr(table, name)[0] = 0
     assert table.cited.tolist() == [1, -1, 0]
@@ -639,12 +677,16 @@ def test_record_table_pipeline_matches_per_record_reference():
     st = hypothesis.strategies
     spellings = ["A", " a ", "B", "b ", "C", "  ", "D"]
     affils = st.lists(st.sampled_from(spellings), max_size=3)
-    # references to records (padded or not), outside the set (p9), or without an id;
-    # a record citing its own id is drawn like any other
-    ref = st.tuples(st.sampled_from(["p0", "p1", " p2 ", "p3", "P1", "p9", None]), affils)
-    # record k is p{k}, padded or upper-cased, or repeats p0
+    # references to records (padded or not), outside the set (p9), without an
+    # id (null, empty or blank), or with a NUL inside the id; a record citing
+    # its own id is drawn like any other
+    ref = st.tuples(
+        st.sampled_from(["p0", "p1", " p2 ", "p3", "P1", "p9", None, "", "  ", "p\x001", "\x00", "p1\x00"]),
+        affils,
+    )
+    # record k is p{k}, padded, upper-cased or with a NUL inside, or repeats p0
     record = st.tuples(
-        st.sampled_from(["p{}", " p{} ", "P{}", "p0"]),
+        st.sampled_from(["p{}", " p{} ", "P{}", "p0", "p\x00{}"]),
         st.sampled_from([2012, 2010, 2014, 2009, 2015, 10**30, -(10**30)]),
         st.sampled_from(["Telecommunications", " telecommunications", "TELECOMMUNICATIONS", "Other"]),
         affils,
@@ -665,6 +707,21 @@ def test_record_table_pipeline_matches_per_record_reference():
         ("p{}", 2015, "Telecommunications", ["B"], [("p0", ["A"])]),
         ("p{}", 2012, "Telecommunications", ["B"], []),
     ], 1, False, False)
+    # ids with a NUL inside, cited forward and back, next to ids without one
+    # on the same line, and a NUL alone, which names no record
+    @hypothesis.example([
+        ("p\x00{}", 2012, "Telecommunications", ["A"], [("p\x001", ["B"]), ("p1", ["B"]), ("\x00", ["A"])]),
+        ("p\x00{}", 2012, "Telecommunications", ["B"], [("p\x000", ["A"]), (None, ["A"])]),
+        ("p{}", 2012, "Telecommunications", ["A"], [("p\x001", ["B"]), ("p\x000\x00", ["B"])]),
+    ], 1, True, False)
+    # blank, empty, null and padded ids, a forward and a backward citation, a
+    # record citing itself, and lines without references
+    @hypothesis.example([
+        ("p{}", 2012, "Telecommunications", ["A"], [("  ", ["B"]), (None, ["B"]), (" p2 ", ["B"]), ("p0", ["A", "B"])]),
+        ("p{}", 2012, "Telecommunications", ["B"], []),
+        (" p{} ", 2012, "Telecommunications", ["B"], [("p0", ["A"]), ("", ["A"]), ("P2", ["A"])]),
+        ("p{}", 2012, "Telecommunications", ["C"], []),
+    ], 1, True, True)
     def check(rows, threshold, keep_self_loops, strict):
         lines = [
             row if isinstance(row, str)
