@@ -225,7 +225,7 @@ def write_distribution_csv(pairs: Sequence[tuple[float, float]], path) -> None:
 
 def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None:
     """Ranked scores, descending; ties broken lexicographically by id."""
-    order = sorted(range(len(node_ids)), key=lambda k: (-scores[k], node_ids[k]))
+    order = np.lexsort((np.array(node_ids, dtype=object), -np.asarray(scores))).tolist()
     rows = (
         [rank, node_ids[k], fmt(scores[k]), fmt(normalized[k])]
         for rank, k in enumerate(order, start=1)

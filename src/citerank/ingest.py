@@ -12,13 +12,13 @@ an institution is dropped, and carries the indicator weights used for
 composite scoring.
 
 parse_records reads every line once into a RecordTable: per-record columns,
-and int64 arrays of institution positions and cited-record rows. No Python
-object per reference outlives its line: a line's reference ids are kept as
-one joined str until the last line is read, then looked up among the record
-ids into the cited-row column and dropped. filter_records selects a
-subject's records as a bool row mask, never a copy, and apply_threshold and
-build_network read the table through it with numpy, never one Python object
-per reference:
+32-bit arrays of institution positions and cited-record rows, and int64
+offsets into them. No Python object per reference outlives its line: a
+line's reference ids are kept as one joined str until the last line is
+read, then looked up among the record ids into the cited-row column and
+dropped. filter_records selects a subject's records as a bool row mask,
+never a copy, and apply_threshold and build_network read the table through
+it with numpy, never one Python object per reference:
 
     rows = filter_records(table, profile)
     net = build_network(table, rows, apply_threshold(table, rows, profile))
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import EncodingError, InputError, ParseError
-from .network import CitationNetwork
+from .network import CitationNetwork, index_position
 
 __all__ = [
     "PublicationRecord",
@@ -197,7 +197,8 @@ class RecordTable(Sequence):
     `institution_index` maps each to its position; each affiliation list
     holds distinct ids in first-read order. pub_ids, years and categories are
     object arrays of the values read, so a year is a Python int of any size,
-    and equal categories are one str; the other arrays are int64. Every array
+    and equal categories are one str; positions and rows are 32-bit np.intc
+    (at most INDEX_LIMIT of each) and offsets int64. Every array
     is read-only. len() is O(1), and item k is built as a PublicationRecord
     when it is read, each reference giving the cited record's pub_id or None.
     """
@@ -260,8 +261,8 @@ def _intern(names, what: str, index: dict[str, int]) -> list[int]:
     A canonical id is the name trimmed and case-folded; an empty one is
     skipped. An id not yet in `index` must encode as UTF-8, since it may be
     written to the CSV outputs; a JSON escape can make a lone surrogate,
-    which does not. It is then added to `index`; parse_records removes it
-    again if the line is rejected.
+    which does not. It is then added to `index`, InputError past
+    INDEX_LIMIT ids; parse_records removes it again if the line is rejected.
     """
     if not isinstance(names, list):
         raise ValueError(f"{what} must be a list of strings")
@@ -277,7 +278,7 @@ def _intern(names, what: str, index: dict[str, int]) -> list[int]:
                     canon.encode()
                 except UnicodeEncodeError as exc:
                     raise ValueError(f"{what} must be valid Unicode: {name!r} ({exc.reason})") from None
-                k = index[canon] = len(index)
+                k = index[canon] = index_position(len(index), "institutions")
             if k not in ids:
                 ids.append(k)
     return ids
@@ -354,11 +355,11 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
     categories: list[str] = []
     category_of: dict[str, str] = {}  # one str per distinct category
     reference_ids: list[str | list[str]] = []  # one entry per line with references
-    # int64 columns grow in place, 8 bytes a value and no Python object each;
-    # each counts column starts with the 0 that _offsets sums it from
-    affiliation_counts, affiliations = array("q", [0]), array("q")
+    # columns grow in place with no Python object a value: positions in 32
+    # bits, counts in 64, each counts column from the 0 that _offsets sums it from
+    affiliation_counts, affiliations = array("q", [0]), array("i")
     reference_counts = array("q", [0])
-    reference_affiliation_counts, reference_affiliations = array("q", [0]), array("q")
+    reference_affiliation_counts, reference_affiliations = array("q", [0]), array("i")
     issues: list[ParseIssue] = []
 
     for line_no, line in enumerate(stream, start=1):
@@ -367,11 +368,14 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
         known = len(index)
         try:
             pub_id, year, category, affs, ref_ids, ref_counts, ref_affs = _parse_line(line, index)
+        except InputError:  # past INDEX_LIMIT: no line can be read into this table
+            raise
         except ValueError as exc:
             message = str(exc)
         else:
             row = row_of.setdefault(pub_id, len(line_of))
             if row == len(line_of):
+                index_position(row, "records")
                 line_of.append(line_no)
                 pub_ids.append(pub_id)
                 years.append(year)
@@ -393,7 +397,7 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
 
     reference_offsets = _offsets(reference_counts)
     ids = chain.from_iterable(k.split("\0") if type(k) is str else k for k in reference_ids)
-    cited = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, int(reference_offsets[-1]))
+    cited = np.fromiter(map(row_of.get, ids, repeat(-1)), np.intc, int(reference_offsets[-1]))
     table = RecordTable(
         np.array(pub_ids, dtype=object),
         np.array(years, dtype=object),
@@ -401,11 +405,11 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
         tuple(index),
         MappingProxyType(index),
         _offsets(affiliation_counts),
-        np.frombuffer(affiliations, dtype=np.int64),
+        np.frombuffer(affiliations, dtype=np.intc),
         reference_offsets,
         cited,
         _offsets(reference_affiliation_counts),
-        np.frombuffer(reference_affiliations, dtype=np.int64),
+        np.frombuffer(reference_affiliations, dtype=np.intc),
     )
     return ParseResult(table, issues)
 
@@ -457,7 +461,7 @@ def _citation_pairs(
     """Citing and cited node of every citation pair of the masked rows, one pair per citation.
 
     node_of maps an institution position to its node, or to -1 when the
-    institution is not retained.
+    institution is not retained; it and both columns are np.intc.
     """
     n = len(records)
     # retained citing affiliations of kept rows, grouped by record
@@ -469,24 +473,28 @@ def _citation_pairs(
     citing_start = np.cumsum(per_record) - per_record
     del owner, kept
 
-    # the references that count: from a record with a retained affiliation to
-    # a kept row; only their cited affiliations are looked at
-    counted = np.append(rows, False)[records.cited]  # cited -1 reads the appended False
-    counted &= np.repeat(per_record > 0, np.diff(records.reference_offsets))
-    listed = np.diff(records.reference_affiliation_offsets)
-    citing_row = np.searchsorted(records.reference_offsets, np.flatnonzero(counted), side="right") - 1
-    citing_row = np.repeat(citing_row, listed[counted])
-    cited = node_of[records.reference_affiliations[np.repeat(counted, listed)]]
-    del counted, listed
+    # the references that count, from a record with a retained affiliation to
+    # a kept row; only those naming a record are indexed (through intp copies)
+    refs = np.flatnonzero(records.cited >= 0)
+    citing_row = np.searchsorted(records.reference_offsets, refs, side="right") - 1
+    counted = rows[records.cited[refs]] & (per_record[citing_row] > 0)
+    refs, citing_row = refs[counted], citing_row[counted]
+    first = records.reference_affiliation_offsets[refs]
+    listed = records.reference_affiliation_offsets[refs + 1] - first
+    at = np.repeat(first - np.cumsum(listed) + listed, listed) + np.arange(listed.sum())
+    cited = node_of[records.reference_affiliations[at]]
+    citing_row = np.repeat(citing_row, listed)
+    del refs, counted, first, listed, at
     kept = cited >= 0
     cited, citing_row = cited[kept], citing_row[kept]
     del kept
 
     # each cited affiliation pairs with every citing one of its record
-    ends = np.cumsum(per_record[citing_row])
+    ends = per_record[citing_row]
+    np.cumsum(ends, out=ends)
     total = int(ends[-1]) if ends.size else 0
-    source = np.empty(total, dtype=np.int64)
-    target = np.empty(total, dtype=np.int64)
+    source = np.empty(total, dtype=np.intc)
+    target = np.empty(total, dtype=np.intc)
     blocks = np.searchsorted(ends, range(_BLOCK_PAIRS, total, _BLOCK_PAIRS), side="right")
     cuts = [0, *blocks.tolist(), ends.size]
     size = 0
@@ -528,7 +536,8 @@ def build_network(
     if not retained:
         raise InputError("retained institution set is empty; nothing to build")
     nodes = tuple(sorted(retained))
-    node_of = np.full(len(records.institutions), -1, dtype=np.int64)
+    index_position(len(nodes) - 1, "nodes")
+    node_of = np.full(len(records.institutions), -1, dtype=np.intc)
     for k, inst in enumerate(nodes):
         position = records.institution_index.get(inst)
         if position is not None:

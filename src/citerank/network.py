@@ -5,10 +5,10 @@ publications cite institution j's publications w times in total. A network
 is only its nodes and edges: a self-loop (i, i) is stored like any other
 edge, and whether same-institution citations count is decided where records
 become a network, in ingest.build_network. There is one way to make a
-network: the constructor takes index triples in any order, sums repeated
-pairs and sorts them, and build() and from_edges() go through it. The
-degree statistics here treat the network as unweighted: in-degree counts
-distinct citing institutions, not citation volume.
+network: the constructor takes index triples in any order, 32-bit ones
+without an int64 copy, sums repeated pairs and sorts them, and build() and
+from_edges() go through it. The degree statistics here treat the network as
+unweighted: in-degree counts distinct citing institutions, not citations.
 """
 
 from __future__ import annotations
@@ -23,10 +23,18 @@ from .errors import DegenerateNetworkError, InputError
 __all__ = ["CitationNetwork", "DegreeReport", "in_degree", "degree_report"]
 
 INT64_MAX = 2**63 - 1
+INDEX_LIMIT = 2**31 - 1  # the most nodes, institutions or records: each position fits 32 bits
 
 
-def _int64(values, what: str) -> np.ndarray:
-    """values as an int64 array; InputError unless each is an int64 integer."""
+def index_position(k: int, what: str) -> int:
+    """k, the position of a new node, institution or record; InputError once it reaches INDEX_LIMIT."""
+    if k >= INDEX_LIMIT:
+        raise InputError(f"more than {INDEX_LIMIT} {what}: positions are 32-bit")
+    return k
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """values as given if signed integers, else as new int64; InputError unless each is an int64 integer."""
     arr = np.asarray(values)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -40,7 +48,7 @@ def _int64(values, what: str) -> np.ndarray:
         raise InputError(f"{what} must be integers, got {arr.dtype}")
     if arr.dtype.kind != "i" and (arr.min() < -INT64_MAX - 1 or arr.max() > INT64_MAX):
         raise InputError(f"{what} beyond the int64 range")
-    return arr.astype(np.int64, copy=False)
+    return arr if arr.dtype.kind == "i" else arr.astype(np.int64)
 
 
 def _first(mask: np.ndarray, *arrays: np.ndarray) -> list[int]:
@@ -67,7 +75,8 @@ class CitationNetwork:
     Built from (source[k], target[k], weight[k]) index triples in any order:
     repeated pairs add up, and the network keeps each pair once, sorted by
     (source, target) index, with its positive integer citation count;
-    zero-weight pairs are simply absent. The three int64 arrays are new and
+    zero-weight pairs are simply absent. Signed index arrays are read as
+    given, the rest as int64. The three int64 arrays stored are new and
     read-only: the inputs are read, never kept or written. Instances are
     safe to share between threads; every operation in this module is a
     pure function.
@@ -83,20 +92,22 @@ class CitationNetwork:
         n = len(ids)
         if len(set(ids)) != n:
             raise InputError("node identifiers must be unique")
-        source = _int64(self.source, "source indices")
-        target = _int64(self.target, "target indices")
-        weight = _int64(self.weight, "edge weights")
+        index_position(n - 1, "nodes")  # the keys below stay far inside int64
+        source = _integers(self.source, "source indices")
+        target = _integers(self.target, "target indices")
+        weight = _integers(self.weight, "edge weights").astype(np.int64, copy=False)
         if not source.size == target.size == weight.size:
             raise InputError("source, target and weight must have one length")
         _check_edges(n, source, target, weight)
-        keys = source * n
+        keys = source.astype(np.int64)
+        keys *= n
         keys += target
         del source, target
         if weight.size and int(weight.max()) == 1:  # weights are positive: all are 1
             keys.sort()  # in place, where np.unique would sort a copy
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
-            weight = np.diff(np.append(starts, keys.size))
-            keys = keys[starts]
+            size, keys = keys.size, keys[starts]  # the sorted keys go before the counts are made
+            weight = np.diff(np.append(starts, size))
             del starts
         elif weight.size:
             order = np.argsort(keys)  # integer sums do not depend on the order of repeats

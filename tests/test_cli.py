@@ -85,6 +85,16 @@ def test_build_reports_too_deeply_nested_line_as_parse_issue(tmp_path, capsys):
     assert f"line {line_no}: invalid JSON: maximum recursion depth" in capsys.readouterr().err
 
 
+def test_build_past_the_index_limit_exits_1(tmp_path, capsys, monkeypatch):
+    # a table of more institutions than 32-bit positions hold is an input
+    # error, not a wrapped index or a traceback; the limit is lowered to 2
+    monkeypatch.setattr(citerank.network, "INDEX_LIMIT", 2)
+    rc = main(["build", str(RECORDS), "--subject", "TEL", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "more than 2 institutions: positions are 32-bit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_build_strict_mode_names_bad_line(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     good = RECORDS.read_text().splitlines()[0]

@@ -17,6 +17,7 @@ from citerank.fileio import (
     write_correlation_csv,
     write_csv,
     write_edge_list,
+    write_ranking_csv,
 )
 
 from conftest import (
@@ -103,6 +104,24 @@ def test_edge_list_rows_sorted_by_id_with_csv_quoting(tmp_path):
     out = csv.writer(expected)
     out.writerow(["source", "target", "weight"])
     out.writerows(sorted((ids[i], ids[j], x) for (i, j), x in weight_dict(net).items()))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_ranking_orders_ties_by_id_whatever_the_id_order(tmp_path, dtype):
+    ids = ("zeta", "b", "alpha", "B", "mu", "a,c")
+    scores = np.array([3, 5, 3, 5, 1, 3], dtype=dtype)
+    normalized = scores / 5
+    path = tmp_path / "ranking.csv"
+    write_ranking_csv(path, ids, scores, normalized)
+    rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+    assert [row[1] for row in rows[1:]] == ["B", "b", "a,c", "alpha", "zeta", "mu"]
+    # the row-wise rule it replaces, each value written by fmt
+    order = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))
+    expected = io.StringIO(newline="")
+    out = csv.writer(expected)
+    out.writerow(["rank", "institution", "pagerank_score", "normalized_score"])
+    out.writerows([r, ids[k], fmt(scores[k]), fmt(normalized[k])] for r, k in enumerate(order, 1))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 

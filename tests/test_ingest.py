@@ -17,8 +17,9 @@ from citerank import (
     load_profiles,
     parse_records,
 )
-from citerank import ingest
+from citerank import CitationNetwork, ingest, network
 from citerank.errors import InputError, ParseError
+from citerank.network import index_position
 from citerank.fileio import bundled_data
 
 from conftest import (
@@ -601,6 +602,73 @@ def test_parsed_memory_does_not_grow_with_reference_id_length():
     assert abs(retained(long) - retained(short)) < 64_000
 
 
+def test_network_memory_does_not_grow_with_outside_references():
+    # references that name no record are found with one byte each and never
+    # indexed: 20,000 more of them, with affiliations, leave build_network's
+    # peak within two bytes apiece
+    def table(outside):
+        rng = np.random.default_rng(4)
+        lines = []
+        for k in range(1000):
+            refs = [(f"p{int(rng.integers(0, 1000))}", (f"U{k % 7}",))]
+            refs += [(f"x{k}-{j}", (f"U{j}", f"U{j + 1}")) for j in range(outside)]
+            lines.append(_line(f"p{k}", affils=(f"U{k % 50}",), refs=refs))
+        return _parse(lines).records
+
+    def peak(records):
+        rows = _all(records)
+        retained = apply_threshold(records, rows, _profile())
+        tracemalloc.start()
+        try:
+            net = build_network(records, rows, retained)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.total_weight > 500
+        return peak
+
+    few, many = table(0), table(20)
+    assert int(many.reference_offsets[-1]) - int(few.reference_offsets[-1]) == 20_000
+    assert np.array_equal(few.cited, many.cited[many.cited >= 0])
+    peak(few)  # first calls may cache what later ones reuse
+    assert peak(many) - peak(few) < 40_000
+
+
+def test_record_table_columns_are_32_bit_positions_and_int64_offsets():
+    table = _parse([_line("p1", affils=("A", "B"), refs=[("p2", ("B",)), ("p9", ())]), _line("p2")]).records
+    for name in ("affiliations", "reference_affiliations", "cited"):
+        assert getattr(table, name).dtype == np.intc
+    for name in ("affiliation_offsets", "reference_offsets", "reference_affiliation_offsets"):
+        assert getattr(table, name).dtype == np.int64
+    assert table.cited.tolist() == [1, -1]
+
+
+def test_index_position_stops_below_2_to_the_31():
+    assert index_position(2**31 - 2, "records") == 2**31 - 2
+    for k in (2**31 - 1, 2**31):
+        with pytest.raises(InputError, match="more than 2147483647 records: positions are 32-bit"):
+            index_position(k, "records")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_table_past_the_index_limit_is_an_input_error(monkeypatch, strict):
+    # no test can read 2**31 ids, so the limit is lowered to 3
+    monkeypatch.setattr(network, "INDEX_LIMIT", 3)
+    three = [_line("p1", affils=("A", "B")), _line("p2", affils=("C",))]
+    assert len(_parse(three, strict).records) == 2
+    with pytest.raises(InputError, match="more than 3 institutions"):
+        _parse(three + [_line("p3", affils=("D",))], strict)
+    with pytest.raises(InputError, match="more than 3 institutions"):
+        _parse(three + [_line("p3", affils=("A",), refs=[("p1", ("D",))])], strict)
+    with pytest.raises(InputError, match="more than 3 records"):
+        _parse(three + [_line("p3", affils=("A",)), _line("p4", affils=("b",))], strict)
+    table = _parse(three).records
+    with pytest.raises(InputError, match="more than 3 nodes"):
+        build_network(table, _all(table), {"a", "b", "c", "zz"})
+    with pytest.raises(InputError, match="more than 3 nodes"):
+        CitationNetwork.from_edges(["a", "b"], ["c", "d"], [1, 1])
+
+
 # ---------------------------------------------------------------------------
 # The record table against the per-record reference pipeline
 # ---------------------------------------------------------------------------
@@ -763,22 +831,27 @@ def test_record_table_pipeline_matches_per_record_reference():
 def test_pair_expansion_in_blocks_matches_reference(monkeypatch, block_pairs):
     # blocks smaller than one record's pairs, a few pairs, and the default size
     monkeypatch.setattr(ingest, "_BLOCK_PAIRS", block_pairs)
-    rng = np.random.default_rng(12)
-    names = [f"U{k}" for k in range(12)]
-    lines = []
-    for k in range(120):
-        refs = [
-            (f"p{rng.integers(0, 140)}", tuple(rng.choice(names, size=rng.integers(0, 5))))
-            for _ in range(rng.integers(0, 6))
-        ]
-        affils = tuple(rng.choice(names, size=rng.integers(1, 9)))
-        lines.append(_line(f"p{k}", year=int(rng.choice([2009, 2012])), affils=affils, refs=refs))
-    parsed, expected = _parse(lines), reference_parse_records(lines)
-    profile = _profile(threshold=3)
-    rows = filter_records(parsed.records, profile)
-    records = reference_filter_records(expected.records, profile)
-    retained = apply_threshold(parsed.records, rows, profile)
-    for keep_self_loops in (False, True):
-        net = build_network(parsed.records, rows, retained, keep_self_loops)
-        assert net == reference_build_network(records, retained, keep_self_loops)
-        assert net.total_weight > 100
+    # references to p0-p139 name one of the 120 records six times in seven;
+    # to p0-p1399 once in twelve, as most references of a corpus name none
+    for cited_ids, most_refs in ((140, 6), (1400, 40)):
+        rng = np.random.default_rng(12)
+        names = [f"U{k}" for k in range(12)]
+        lines = []
+        for k in range(120):
+            refs = [
+                (f"p{rng.integers(0, cited_ids)}", tuple(rng.choice(names, size=rng.integers(0, 5))))
+                for _ in range(rng.integers(0, most_refs))
+            ]
+            affils = tuple(rng.choice(names, size=rng.integers(1, 9)))
+            lines.append(_line(f"p{k}", year=int(rng.choice([2009, 2012])), affils=affils, refs=refs))
+        parsed, expected = _parse(lines), reference_parse_records(lines)
+        named = (parsed.records.cited >= 0).mean()  # share of references naming a record
+        assert (named < 0.1) if cited_ids > 140 else (named > 0.8)
+        profile = _profile(threshold=3)
+        rows = filter_records(parsed.records, profile)
+        records = reference_filter_records(expected.records, profile)
+        retained = apply_threshold(parsed.records, rows, profile)
+        for keep_self_loops in (False, True):
+            net = build_network(parsed.records, rows, retained, keep_self_loops)
+            assert net == reference_build_network(records, retained, keep_self_loops)
+            assert net.total_weight > 100

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,49 @@ def test_network_shares_no_buffer_with_its_caller(make, weights):
     assert all(a.flags.writeable and np.array_equal(a, c) for a, c in zip(inputs, copies))
     pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
     assert weight_dict(net) == dict(zip(pairs, weights))
+
+
+# the unit-weight path, and the general one, where pair (2, 0) sums 100 + 100
+# past int8: weights become int64 before they are summed
+@pytest.mark.parametrize("weights", [[1, 1, 1, 1, 1], [100, 2, 1, 100, 3]])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint32, np.int64, list])
+def test_integer_inputs_of_any_dtype_give_one_network(dtype, weights):
+    given = [[2, 0, 1, 2, 0], [0, 1, 2, 0, 2], weights]
+    inputs = [list(c) if dtype is list else np.array(c, dtype=dtype) for c in given]
+    copies = [np.array(c) for c in inputs]
+    net = CitationNetwork(("a", "b", "c"), *inputs)
+    assert net == CitationNetwork(("a", "b", "c"), *(np.array(c, dtype=np.int64) for c in given))
+    w = weights
+    assert weight_dict(net) == {(0, 1): w[1], (0, 2): w[4], (1, 2): w[2], (2, 0): w[0] + w[3]}
+    for arr in (net.source, net.target, net.weight):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert not any(np.shares_memory(arr, a) for a in inputs if isinstance(a, np.ndarray))
+    assert all(np.array_equal(a, c) for a, c in zip(inputs, copies))
+
+
+def test_32_bit_indices_are_read_without_an_int64_copy():
+    # made and read under one trace, int32 index arrays save their 8 bytes a
+    # pair over int64 ones; an int64 copy of either column would cost them
+    # back. 40 nodes make at most 1,600 distinct pairs, so the peak is where
+    # the indices are read, not where the repeats are counted
+    m = 200_000
+    ids = tuple(f"n{k}" for k in range(40))
+    pairs = np.random.default_rng(5).integers(0, len(ids), size=(2, m))
+    ones = np.broadcast_to(np.int64(1), m)
+
+    def peak(dtype):
+        tracemalloc.start()
+        try:
+            source, target = pairs.astype(dtype)
+            net = CitationNetwork(ids, source, target, ones)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.total_weight == m
+        return peak
+
+    peak(np.int32)  # first calls may cache what later ones reuse
+    assert peak(np.int32) <= peak(np.int64) - 2 * m
 
 
 def test_build_counts_repeated_unit_pairs():
