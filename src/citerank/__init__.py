@@ -3,6 +3,18 @@ ranking-comparison statistics."""
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# One OpenBLAS thread: a second can cost ~70 ms of start-up; citerank's small BLAS calls gain nothing.
+if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .network import CitationNetwork, DegreeReport, degree_report, in_degree
 from .pagerank import (
     DanglingPolicy,

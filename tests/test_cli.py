@@ -904,19 +904,30 @@ def test_every_csv_written_parses_to_rows_of_header_width(tmp_path):
     assert "partial_r_given_x\ry" in statistics
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(*argv, path=(), **variables):
+    # a new interpreter with citerank (after `path`) importable; OpenBLAS reads its thread
+    # variables once, when numpy loads, and none of them is set there unless given here
+    src = str(Path(citerank.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    path = [*map(str, path), src, env.get("PYTHONPATH")]
+    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, (argv, done.stderr)
+    return done.stdout
+
+
 def test_cli_chain_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: a scipy that cannot be imported breaks nothing
     stub = tmp_path / "stub" / "scipy"
     stub.mkdir(parents=True)
     (stub / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
-    src = str(Path(citerank.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [str(stub.parent), src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
 
     def cli(*argv):
-        done = subprocess.run([sys.executable, "-m", "citerank.cli", *map(str, argv)], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, (argv[0], done.stderr)
+        _fresh_python("-m", "citerank.cli", *argv, path=[stub.parent])
 
     out = tmp_path / "out"
     cli("build", RECORDS, "--subject", "TEL", "--threshold", "3", "--out", out / "net")
@@ -932,6 +943,73 @@ def test_cli_chain_runs_without_scipy(tmp_path):
     report = json.loads((out / "cmp" / "report.json").read_text())
     assert 0.0 <= report["pearson"]["p"] <= 1.0
     assert "PUB" in report["partial"]
+
+
+# ---------------------------------------------------------------------------
+# start-up: BLAS threads and imports
+# ---------------------------------------------------------------------------
+
+_ENVIRON_AROUND_IMPORT = """
+import json, os
+before = dict(os.environ)
+import citerank
+print(json.dumps([before, dict(os.environ)]))
+"""
+
+
+@pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}],
+                         ids=["none", "openblas", "omp"])
+def test_import_leaves_the_environment_as_found(variables):
+    before, after = json.loads(_fresh_python("-c", _ENVIRON_AROUND_IMPORT, **variables))
+    assert after == before
+    assert {k: after[k] for k in THREAD_VARIABLES if k in after} == variables
+
+
+def test_import_after_numpy_sets_no_variable():
+    # a library caller who loaded numpy first keeps numpy's own thread count
+    code = """
+import os, sys, numpy
+
+class Watched(dict):
+    def __setitem__(self, key, value):
+        sys.exit(f"import citerank set {key}={value}")
+    def __delitem__(self, key):
+        sys.exit(f"import citerank deleted {key}")
+
+os.environ = Watched(os.environ)
+import citerank
+"""
+    _fresh_python("-c", code)
+
+
+def test_compare_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # above 10,000 rows OpenBLAS may split a dot product across threads, which moves the
+    # last digits of r; the CLI loads numpy with one thread unless told otherwise
+    values = np.random.default_rng(12000).lognormal(size=(12000, 3))
+    table = tmp_path / "table.csv"
+    table.write_text("institution,a,b,c\n" + "".join(
+        f"i{k},{','.join(map(repr, map(float, row)))}\n" for k, row in enumerate(values)))
+    reports = []
+    for name, variables in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        _fresh_python("-m", "citerank.cli", "compare", table, "--col-a", "a", "--col-b", "b",
+                      "--control", "c", "--out", out, **variables)
+        reports.append([(out / f"report.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert reports[0] == reports[1]
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_citerank():
+    # every command pays for what citerank.cli imports: keep scipy and the like off it
+    code = """
+import sys
+before = set(sys.modules)
+import citerank.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+    added = _fresh_python("-c", code).split()
+    assert "citerank.cli" in added
+    allowed = set(sys.stdlib_module_names) | {"numpy", "citerank"}
+    assert [name for name in added if name.split(".")[0] not in allowed] == []
 
 
 _TABLE = "institution,a,b\ni1,1.0,2.0\ni2,2.0,1.5\ni3,3.0,4.0\ni4,4.5,3.0\n"
