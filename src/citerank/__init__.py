@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-# One OpenBLAS thread: a second can cost ~70 ms of start-up; citerank's small BLAS calls gain nothing.
-if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(
-        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+# The CLI loads numpy with one OpenBLAS thread, so its output does not depend on the core count.
+if _os.path.basename("".join(_sys.argv[:1])) in ("-m", "citerank") and "numpy" not in _sys.modules \
+        and _os.environ.keys().isdisjoint(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy as _numpy  # noqa: F401

@@ -946,70 +946,65 @@ def test_cli_chain_runs_without_scipy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# start-up: BLAS threads and imports
+# BLAS threads of CLI runs
 # ---------------------------------------------------------------------------
 
-_ENVIRON_AROUND_IMPORT = """
-import json, os
-before = dict(os.environ)
-import citerank
-print(json.dumps([before, dict(os.environ)]))
+# a sitecustomize that records, in the file named by THREAD_EVENTS, every write of a
+# *_NUM_THREADS variable and the moment numpy loads (audit events see the real launch)
+_THREAD_AUDIT = """
+import atexit, os, sys
+_seen = []
+def _hook(event, args):
+    if event in ("os.putenv", "os.unsetenv") and os.fsdecode(args[0]).endswith("_NUM_THREADS"):
+        _seen.append(" ".join([event, *map(os.fsdecode, args)]))
+    elif event == "import" and args[0] == "numpy":
+        _seen.append("import numpy")
+sys.addaudithook(_hook)
+_path = os.environ["THREAD_EVENTS"]
+atexit.register(lambda: open(_path, "w", encoding="utf-8").write("\\n".join(_seen)))
 """
 
-
-@pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}],
-                         ids=["none", "openblas", "omp"])
-def test_import_leaves_the_environment_as_found(variables):
-    before, after = json.loads(_fresh_python("-c", _ENVIRON_AROUND_IMPORT, **variables))
-    assert after == before
-    assert {k: after[k] for k in THREAD_VARIABLES if k in after} == variables
+_ONE_THREAD = ["os.putenv OPENBLAS_NUM_THREADS 1", "import numpy", "os.unsetenv OPENBLAS_NUM_THREADS"]
 
 
-def test_import_after_numpy_sets_no_variable():
-    # a library caller who loaded numpy first keeps numpy's own thread count
-    code = """
-import os, sys, numpy
+@pytest.mark.parametrize("argv, variables, expected", [
+    (["-m", "citerank.cli", "--help"], {}, _ONE_THREAD),
+    (["-c", "import sys; sys.argv[0] = '/bin/citerank'; import citerank"], {}, _ONE_THREAD),
+    (["-m", "citerank.cli", "--help"], {"OPENBLAS_NUM_THREADS": "3"}, ["import numpy"]),
+    (["-m", "citerank.cli", "--help"], {"GOTO_NUM_THREADS": "3"}, ["import numpy"]),
+    (["-m", "citerank.cli", "--help"], {"OMP_NUM_THREADS": "3"}, ["import numpy"]),
+    (["-c", "import citerank"], {}, ["import numpy"]),
+    (["-c", "import numpy, sys; sys.argv[0] = '-m'; import citerank"], {}, ["import numpy"]),
+], ids=["python-m", "console-script", "openblas-set", "goto-set", "omp-set", "library", "numpy-first"])
+def test_only_the_cli_loads_numpy_with_one_blas_thread(tmp_path, argv, variables, expected):
+    # sys.argv[0] is "-m" while `python -m citerank.cli` imports the package; the variable is
+    # set only around numpy's import, so child processes see the environment as it was found,
+    # and a caller's thread variable or a numpy loaded first is left alone
+    (tmp_path / "sitecustomize.py").write_text(_THREAD_AUDIT)
+    events = tmp_path / "events.txt"
+    _fresh_python(*argv, path=[tmp_path], THREAD_EVENTS=str(events), **variables)
+    assert events.read_text().split("\n") == expected
 
-class Watched(dict):
-    def __setitem__(self, key, value):
-        sys.exit(f"import citerank set {key}={value}")
-    def __delitem__(self, key):
-        sys.exit(f"import citerank deleted {key}")
 
-os.environ = Watched(os.environ)
-import citerank
-"""
-    _fresh_python("-c", code)
-
-
-def test_compare_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+def test_cli_statistics_do_not_depend_on_the_blas_thread_count(tmp_path):
     # above 10,000 rows OpenBLAS may split a dot product across threads, which moves the
-    # last digits of r; the CLI loads numpy with one thread unless told otherwise
+    # last digits of r (compare differs at 1 and 2 threads without the rule); pca's n x k
+    # correlation product is checked on the same table
     values = np.random.default_rng(12000).lognormal(size=(12000, 3))
     table = tmp_path / "table.csv"
     table.write_text("institution,a,b,c\n" + "".join(
         f"i{k},{','.join(map(repr, map(float, row)))}\n" for k, row in enumerate(values)))
-    reports = []
+    outputs = []
     for name, variables in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
         out = tmp_path / name
         _fresh_python("-m", "citerank.cli", "compare", table, "--col-a", "a", "--col-b", "b",
-                      "--control", "c", "--out", out, **variables)
-        reports.append([(out / f"report.{ext}").read_bytes() for ext in ("json", "csv")])
-    assert reports[0] == reports[1]
-
-
-def test_cli_import_loads_only_stdlib_numpy_and_citerank():
-    # every command pays for what citerank.cli imports: keep scipy and the like off it
-    code = """
-import sys
-before = set(sys.modules)
-import citerank.cli
-print("\\n".join(sorted(set(sys.modules) - before)))
-"""
-    added = _fresh_python("-c", code).split()
-    assert "citerank.cli" in added
-    allowed = set(sys.stdlib_module_names) | {"numpy", "citerank"}
-    assert [name for name in added if name.split(".")[0] not in allowed] == []
+                      "--control", "c", "--out", out / "compare", **variables)
+        _fresh_python("-m", "citerank.cli", "pca", "--table", table, "--retain", "2",
+                      "--out", out / "pca", **variables)
+        outputs.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+                        if path.is_file() and path.name != "manifest.json"})
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
 
 
 _TABLE = "institution,a,b\ni1,1.0,2.0\ni2,2.0,1.5\ni3,3.0,4.0\ni4,4.5,3.0\n"
