@@ -27,11 +27,17 @@ import traceback
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, fileio, ingest, network, rankstats, scoring, synthnet
+# every command needs these; each command imports the rest it runs itself, so a
+# command's start-up compiles only its own modules
+from . import __version__, fileio, network, scoring
 from .errors import CiteRankError, EmptyNetworkError, EncodingError, InputError
 from .errors import MissingColumnError, NumericError
 from .pagerank import DanglingPolicy, PageRankConfig, pagerank
+
+if TYPE_CHECKING:
+    from . import ingest
 
 PROFILE_ENV_VAR = "CITERANK_PROFILES"
 
@@ -77,6 +83,7 @@ def _require_file(path: str) -> Path:
 
 
 def _load_profiles(explicit_path: str | None) -> dict[str, ingest.SubjectProfile]:
+    from . import ingest
     profiles = ingest.default_profiles()
     path = explicit_path or os.environ.get(PROFILE_ENV_VAR)
     if path:
@@ -96,6 +103,7 @@ def _pick_profile(profiles: dict[str, ingest.SubjectProfile], name: str) -> inge
 
 
 def _cmd_build(args) -> int:
+    from . import ingest
     profile = _pick_profile(_load_profiles(args.profiles), args.subject)
     if args.threshold is not None:
         profile = replace(profile, publication_threshold=args.threshold)
@@ -217,6 +225,7 @@ def _columns(table: scoring.ScoreTable, names) -> list:
 
 
 def _cmd_compare(args) -> int:
+    from . import rankstats
     table = fileio.read_score_table(_require_file(args.table))
     a, b, *controls = _columns(table, [args.col_a, args.col_b, *args.control])
     report = rankstats.compare_columns(a, b, dict(zip(args.control, controls)))
@@ -264,6 +273,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    from . import rankstats
     out = _prepare_out(args.out)
     manifest = RunManifest(command="pca", flags={"retain": args.retain})
     if args.corr:
@@ -303,6 +313,7 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import synthnet
     cartel = None
     if args.cartel_boost is not None and args.cartel_size is None:
         raise InputError("--cartel-boost requires --cartel-size")

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import InputError, MissingColumnError, ScoringError
-from .ingest import SubjectProfile
+
+if TYPE_CHECKING:  # an annotation only: scoring loads without ingest
+    from .ingest import SubjectProfile
 
 __all__ = ["ScoreTable", "compress", "composite_score", "normalize_pagerank"]
 

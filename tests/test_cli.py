@@ -790,12 +790,10 @@ def test_user_errors_print_one_line_and_exit_one(tmp_path, capsys):
 
 
 def test_internal_error_exits_two(tmp_path, monkeypatch, capsys):
-    import citerank.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise RuntimeError("simulated bug")
 
-    monkeypatch.setattr(cli_mod.rankstats, "pca", boom)
+    monkeypatch.setattr(citerank.rankstats, "pca", boom)
     rc = main(["pca", "--corr", str(CORR), "--retain", "2", "--out", str(tmp_path / "p")])
     assert rc == 2
     assert "simulated bug" in capsys.readouterr().err
@@ -803,12 +801,10 @@ def test_internal_error_exits_two(tmp_path, monkeypatch, capsys):
 
 def test_stray_value_error_exits_two(tmp_path, monkeypatch, capsys, score_table):
     # a ValueError that no input check raised is a bug, not a user error
-    import citerank.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise ValueError("simulated stray ValueError")
 
-    monkeypatch.setattr(cli_mod.rankstats, "compare_columns", boom)
+    monkeypatch.setattr(citerank.rankstats, "compare_columns", boom)
     path, *_ = score_table
     argv = ["compare", str(path), "--col-a", "arwu_score", "--col-b", "pagerank_score",
             "--out", str(tmp_path / "cmp")]
@@ -1033,3 +1029,74 @@ def test_bad_row_after_a_utf8_bom_names_its_line(tmp_path, capsys):
     path.write_bytes(b"\xef\xbb\xbf" + b"institution,a,b\ni1,1.0,2.0\ni2,x,1.5\n")
     assert main(["compare", str(path), "--col-a", "a", "--col-b", "b", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {path}:3: bad number 'x' in column 'a'\n"
+
+
+# ---------------------------------------------------------------------------
+# Start-up: the modules each command loads
+# ---------------------------------------------------------------------------
+
+# a sitecustomize that writes the names in sys.modules, at exit, to the file named by MODULES_OUT
+_MODULE_DUMP = """
+import atexit, os, sys
+atexit.register(lambda: open(os.environ["MODULES_OUT"], "w", encoding="utf-8").write("\\n".join(sys.modules)))
+"""
+
+
+def _loaded_modules(tmp_path, *argv):
+    (tmp_path / "sitecustomize.py").write_text(_MODULE_DUMP)
+    dump = tmp_path / "modules.txt"
+    _fresh_python(*argv, path=[tmp_path], MODULES_OUT=dump)
+    return set(dump.read_text(encoding="utf-8").split("\n"))
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["--help"], set()),
+    (["build", RECORDS, "--subject", "TEL", "--threshold", "3"], {"citerank.ingest"}),
+    (["pagerank", "{edges}"], set()),
+    (["compare", "{table}", "--col-a", "a", "--col-b", "b"], {"citerank.rankstats"}),
+    (["pca", "--corr", CORR, "--retain", "2"], {"citerank.rankstats"}),
+    (["synth", "--nodes", "20", "--seed", "1"], {"citerank.synthnet"}),
+], ids=["help", "build", "pagerank", "compare", "pca", "synth"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+    inputs = {"edges": tmp_path / "edges.csv", "table": tmp_path / "table.csv"}
+    inputs["edges"].write_text("source,target,weight\na,b,1\nb,c,2\nc,a,1\n")
+    inputs["table"].write_text(_TABLE)
+    argv = [str(arg).format(**inputs) for arg in argv]
+    if argv != ["--help"]:
+        argv += ["--out", str(tmp_path / "out")]
+    loaded = _loaded_modules(tmp_path, "-m", "citerank.cli", *argv)
+    assert loaded & {"citerank.ingest", "citerank.rankstats", "citerank.synthnet"} == loads
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_citerank(tmp_path):
+    added = _loaded_modules(tmp_path, "-c", "import citerank.cli") - _loaded_modules(tmp_path, "-c", "pass")
+    allowed = {*sys.stdlib_module_names, "numpy", "citerank"}
+    assert "citerank.cli" in added
+    assert sorted(name for name in added if name.partition(".")[0] not in allowed) == []
+
+
+def test_library_names_load_on_first_use():
+    for name in set(citerank.__all__) - {"__version__"}:
+        value = getattr(citerank, name)
+        assert value.__module__.startswith("citerank.")
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from citerank import *", namespace)
+    assert set(citerank.__all__) <= set(namespace)
+    assert set(citerank.__all__) <= set(dir(citerank))
+    with pytest.raises(AttributeError, match=r"^module 'citerank' has no attribute 'x'$"):
+        citerank.x
+
+
+def test_plain_import_reaches_every_submodule_and_keeps_the_pagerank_function():
+    script = "\n".join([
+        "import citerank",
+        "print(*(getattr(citerank, m).__name__ for m in ('ingest', 'scoring', 'rankstats', 'synthnet')))",
+        "import citerank.cli",
+        "print(type(citerank.pagerank).__name__)",
+        "import citerank.pagerank",
+        "print(type(citerank.pagerank).__name__)",
+    ])
+    assert _fresh_python("-c", script).split("\n") == [
+        "citerank.ingest citerank.scoring citerank.rankstats citerank.synthnet", "function", "function", "",
+    ]
