@@ -22,14 +22,8 @@ if _os.path.basename("".join(_sys.argv[:1])) in ("-m", "citerank") and "numpy" n
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .network import CitationNetwork, DegreeReport, degree_report, in_degree
-from .pagerank import (
-    DanglingPolicy,
-    PageRankConfig,
-    PageRankResult,
-    normalize_weights,
-    pagerank,
-)
+from .network import *  # noqa: F403
+from .pagerank import *  # noqa: F403  (binds `pagerank`, the function, over its module)
 
 # public name -> the submodule that defines it, imported on first use (PEP 562)
 _LAZY = {
@@ -64,42 +58,7 @@ def __dir__():
 
 __all__ = [
     "__version__",
-    "CitationNetwork",
-    "DegreeReport",
-    "degree_report",
-    "in_degree",
-    "DanglingPolicy",
-    "PageRankConfig",
-    "PageRankResult",
-    "normalize_weights",
-    "pagerank",
-    "PublicationRecord",
-    "SubjectProfile",
-    "apply_threshold",
-    "build_network",
-    "default_profiles",
-    "filter_records",
-    "load_profiles",
-    "parse_records",
-    "ScoreTable",
-    "composite_score",
-    "compress",
-    "normalize_pagerank",
-    "ComparisonReport",
-    "average_rank",
-    "DisplacementSummary",
-    "PcaResult",
-    "compare_columns",
-    "correlation_matrix",
-    "kendall_w",
-    "partial_correlation",
-    "pca",
-    "pearson",
-    "rank_displacement",
-    "spearman",
-    "varimax",
-    "CartelSpec",
-    "SynthConfig",
-    "SynthResult",
-    "generate_traced",
+    *network.__all__,  # noqa: F405
+    *_sys.modules[f"{__name__}.pagerank"].__all__,
+    *(name for name, module in _LAZY.items() if name != module),
 ]

@@ -231,30 +231,15 @@ def _cmd_compare(args) -> int:
     report = rankstats.compare_columns(a, b, dict(zip(args.control, controls)))
     out = _prepare_out(args.out)
     fileio.write_json(report.to_dict(), out / "report.json")
-    rows = [
-        ("pearson_r", report.pearson_r),
-        ("pearson_p", report.pearson_p),
-        ("spearman_rho", report.spearman_rho),
-        ("spearman_p", report.spearman_p),
-        ("kendall_w", report.kendall_w),
-    ]
-    for name in sorted(report.partial):
-        r, p = report.partial[name]
-        rows.append((f"partial_r_given_{name}", r))
-        rows.append((f"partial_p_given_{name}", p))
-    d = report.displacement
-    rows += [
-        ("displacement_n", d.n),
-        ("displacement_mean", d.mean),
-        ("displacement_std", d.std),
-        ("displacement_p50", d.p50),
-        ("displacement_p75", d.p75),
-        ("displacement_p90", d.p90),
-    ]
+    stats = asdict(report)  # the scalars, in field order, then the partials and displacement
+    partial, displacement = stats.pop("partial"), stats.pop("displacement")
+    for name, (r, p) in sorted(partial.items()):
+        stats[f"partial_r_given_{name}"], stats[f"partial_p_given_{name}"] = r, p
+    stats.update((f"displacement_{key}", value) for key, value in displacement.items())
     fileio.write_csv(
         out / "report.csv",
         ["statistic", "value"],
-        ([name, fileio.fmt(value)] for name, value in rows),
+        ([name, fileio.fmt(value)] for name, value in stats.items()),
         lineterminator="\n",
     )
     manifest = RunManifest(
@@ -274,9 +259,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_pca(args) -> int:
     from . import rankstats
+    if args.corr is not None and args.columns is not None:
+        raise InputError("--columns needs --table; --corr reads every variable of the matrix")
     out = _prepare_out(args.out)
     manifest = RunManifest(command="pca", flags={"retain": args.retain})
-    if args.corr:
+    if args.corr is not None:
         matrix, names = fileio.read_correlation_csv(_require_file(args.corr))
         manifest.inputs["corr"] = args.corr
     else:

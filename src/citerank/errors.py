@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule for arguments.
 
 Everything user-facing derives from CiteRankError so the CLI can map
 library failures to exit code 1 and reserve exit code 2 for genuine bugs.
 """
+
+from numbers import Integral
 
 
 class CiteRankError(Exception):
@@ -15,6 +17,13 @@ class InputError(CiteRankError, ValueError):
     Also a ValueError, so callers that catch ValueError for a bad argument
     keep working.
     """
+
+
+def require_integer(value, name: str):
+    """value if it is a Python or numpy integer and not a bool; InputError naming `name` otherwise."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 class ParseError(CiteRankError):

@@ -32,7 +32,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -193,21 +192,20 @@ class RecordTable(Sequence):
     its trimmed id names no record of it or is null) and the affiliations
     reference_affiliations[reference_affiliation_offsets[r]:...]. The id as
     read is not kept. An affiliation is a position in `institutions`, the
-    canonical ids of the table's records in first-read order, and
-    `institution_index` maps each to its position; each affiliation list
-    holds distinct ids in first-read order. pub_ids, years and categories are
-    object arrays of the values read, so a year is a Python int of any size,
-    and equal categories are one str; positions and rows are 32-bit np.intc
-    (at most INDEX_LIMIT of each) and offsets int64. Every array
-    is read-only. len() is O(1), and item k is built as a PublicationRecord
-    when it is read, each reference giving the cited record's pub_id or None.
+    canonical ids of the table's records in first-read order; each
+    affiliation list holds distinct ids in first-read order. pub_ids, years
+    and categories are object arrays of the values read, so a year is a
+    Python int of any size, and equal categories are one str; positions and
+    rows are 32-bit np.intc (at most INDEX_LIMIT of each) and offsets int64.
+    Every array is read-only. len() is O(1), and item k is built as a
+    PublicationRecord when it is read, each reference giving the cited
+    record's pub_id or None.
     """
 
     pub_ids: np.ndarray
     years: np.ndarray
     categories: np.ndarray
     institutions: tuple[str, ...]
-    institution_index: Mapping[str, int]
     affiliation_offsets: np.ndarray
     affiliations: np.ndarray
     reference_offsets: np.ndarray
@@ -340,7 +338,7 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
 
     Each valid line is checked and normalised once: ids are trimmed and
     affiliations become canonical institution ids, stored as positions in
-    the table's institution index. After the last line every reference id
+    the table's institutions. After the last line every reference id
     is looked up among the record ids, so a record may cite one read after
     it; until then each line's reference ids are one str. Malformed lines
     and duplicate pub_ids are collected as ParseIssues with their line
@@ -403,7 +401,6 @@ def parse_records(stream: Iterable[str], strict: bool = False) -> ParseResult:
         np.array(years, dtype=object),
         np.array(categories, dtype=object),
         tuple(index),
-        MappingProxyType(index),
         _offsets(affiliation_counts),
         np.frombuffer(affiliations, dtype=np.intc),
         reference_offsets,
@@ -537,10 +534,9 @@ def build_network(
         raise InputError("retained institution set is empty; nothing to build")
     nodes = tuple(sorted(retained))
     index_position(len(nodes) - 1, "nodes")
-    node_of = np.full(len(records.institutions), -1, dtype=np.intc)
-    for k, inst in enumerate(nodes):
-        position = records.institution_index.get(inst)
-        if position is not None:
-            node_of[position] = k
+    node_at = {inst: k for k, inst in enumerate(nodes)}
+    institutions = records.institutions
+    node_of = np.fromiter(map(node_at.get, institutions, repeat(-1)), np.intc, len(institutions))
+    del node_at  # not alive at the peak of _citation_pairs
     source, target = _citation_pairs(records, rows, node_of, keep_self_loops)
     return CitationNetwork.build(nodes, source, target, np.broadcast_to(np.int64(1), source.size))

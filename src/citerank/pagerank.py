@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetworkError, InputError, NumericError
+from .errors import EmptyNetworkError, InputError, NumericError, require_integer
 from .network import CitationNetwork
 
 __all__ = [
@@ -62,7 +62,7 @@ class PageRankConfig:
             raise InputError(f"damping must be in [0, 1), got {self.damping}")
         if not self.tolerance > 0.0:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
+        if require_integer(self.max_iterations, "max_iterations") < 1:
             raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 

@@ -27,6 +27,7 @@ from .errors import (
     InputError,
     InvalidCorrelationMatrixError,
     UndefinedStatisticError,
+    require_integer,
 )
 
 __all__ = [
@@ -440,7 +441,7 @@ def pca(corr, retain: int, variables: Sequence[str] | None = None) -> PcaResult:
         raise InvalidCorrelationMatrixError("correlation matrix diagonal must be 1")
     if np.max(np.abs(c)) > 1.0 + 1e-8:
         raise InvalidCorrelationMatrixError("correlation entries must lie in [-1, 1]")
-    if not 1 <= retain <= p:
+    if not 1 <= require_integer(retain, "retain") <= p:
         raise InputError(f"retain must be between 1 and {p}, got {retain}")
     if variables is None:
         variables = tuple(f"var{i + 1}" for i in range(p))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_integer
 from .network import CitationNetwork
 
 __all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate_traced"]
@@ -31,9 +31,9 @@ class CartelSpec:
     internal_weight_boost: int
 
     def __post_init__(self) -> None:
-        if self.member_count < 2:
+        if require_integer(self.member_count, "member_count") < 2:
             raise InputError("a cartel needs at least 2 members")
-        if self.internal_weight_boost < 1:
+        if require_integer(self.internal_weight_boost, "internal_weight_boost") < 1:
             raise InputError("internal_weight_boost must be >= 1")
 
 
@@ -46,7 +46,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
+        if require_integer(self.n_nodes, "n_nodes") < 1:
             raise InputError("n_nodes must be positive")
         if not math.isfinite(self.mean_out_citations):
             raise InputError("mean_out_citations must be finite")
@@ -60,7 +60,7 @@ class SynthConfig:
             raise InputError("attachment_exponent must be non-negative")
         if self.cartel is not None and self.cartel.member_count >= self.n_nodes:
             raise InputError("cartel must be smaller than the network")
-        if self.seed < 0:
+        if require_integer(self.seed, "seed") < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
 
 

@@ -521,6 +521,34 @@ def test_compare_matches_in_process_battery(tmp_path, score_table):
     assert stats["displacement_mean"] == pytest.approx(expected.displacement.mean, rel=1e-14)
 
 
+def test_compare_report_csv_rows_follow_the_report(tmp_path):
+    values = np.random.default_rng(4).uniform(1, 100, size=(12, 4))
+    path = tmp_path / "table.csv"
+    rows = (f"i{k:02d}," + ",".join(map(repr, row)) for k, row in enumerate(values.tolist()))
+    path.write_text("\n".join(["institution,a,b,z,c", *rows]) + "\n")
+    out = tmp_path / "cmp"
+    rc = main(["compare", str(path), "--col-a", "a", "--col-b", "b", "--control", "z",
+               "--control", "c", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    expected = [
+        ("pearson_r", report["pearson"]["r"]),
+        ("pearson_p", report["pearson"]["p"]),
+        ("spearman_rho", report["spearman"]["rho"]),
+        ("spearman_p", report["spearman"]["p"]),
+        ("kendall_w", report["kendall_w"]),
+        ("partial_r_given_c", report["partial"]["c"]["r"]),
+        ("partial_p_given_c", report["partial"]["c"]["p"]),
+        ("partial_r_given_z", report["partial"]["z"]["r"]),
+        ("partial_p_given_z", report["partial"]["z"]["p"]),
+        *((f"displacement_{key}", report["displacement"][key])
+          for key in ("n", "mean", "std", "p50", "p75", "p90")),
+    ]
+    header, *rows = _read_csv(out / "report.csv")
+    assert header == ["statistic", "value"]
+    assert rows == [[name, format(value, ".15g")] for name, value in expected]
+
+
 def test_compare_missing_column_names_it(tmp_path, score_table, capsys):
     path, *_ = score_table
     rc = main(["compare", str(path), "--col-a", "arwu_score", "--col-b", "nope",
@@ -635,6 +663,20 @@ def test_pca_retain_larger_than_dimension_exits_one(tmp_path, capsys):
     rc = main(["pca", "--corr", str(CORR), "--retain", "7", "--out", str(tmp_path / "p")])
     assert rc == 1
     assert "retain" in capsys.readouterr().err
+
+
+def test_pca_columns_with_corr_exits_one(tmp_path, capsys):
+    out = tmp_path / "p"
+    rc = main(["pca", "--corr", str(CORR), "--columns", "a", "--retain", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --columns needs --table")
+    assert not out.exists()
+
+
+def test_pca_empty_corr_path_exits_one(tmp_path, capsys):
+    rc = main(["pca", "--corr", "", "--retain", "2", "--out", str(tmp_path / "p")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: input file not found")
 
 
 def test_pca_invalid_matrix_exits_one(tmp_path, capsys):

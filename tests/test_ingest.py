@@ -125,7 +125,6 @@ def test_rejected_lines_leave_no_institutions_behind():
     res = _parse(lines)
     assert [i.line for i in res.issues] == [2, 3, 4]
     assert res.records.institutions == ("uni a", "new u")
-    assert dict(res.records.institution_index) == {"uni a": 0, "new u": 1}
     assert [r.affiliations for r in res.records] == [("uni a",), ("new u", "uni a")]
 
 
