@@ -178,6 +178,7 @@ def _cmd_pagerank(args) -> int:
     if not sources and not nodes:
         raise EmptyNetworkError("edge list is empty")
     net = network.CitationNetwork.from_edges(sources, targets, weights, extra_nodes=nodes)
+    del sources, targets, weights, nodes  # the network has its own copy; free these before ranking
     cfg = PageRankConfig(
         damping=args.damping,
         tolerance=args.tol,

@@ -1,10 +1,10 @@
-"""Exception types shared across the package, and the integer rule for arguments.
+"""Exception types shared across the package, and the integer and real rules for arguments.
 
 Everything user-facing derives from CiteRankError so the CLI can map
 library failures to exit code 1 and reserve exit code 2 for genuine bugs.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CiteRankError(Exception):
@@ -24,6 +24,13 @@ def require_integer(value, name: str):
     if isinstance(value, Integral) and not isinstance(value, bool):
         return value
     raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(value, name: str):
+    """value if it is a Python or numpy real number and not a bool; InputError naming `name` otherwise."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be a real number, got {value!r}")
 
 
 class ParseError(CiteRankError):

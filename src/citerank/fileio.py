@@ -202,10 +202,12 @@ def write_edge_list(net: CitationNetwork, path) -> None:
         for start in range(0, order.size, _BLOCK_ROWS):
             block = order[start : start + _BLOCK_ROWS]
             rows = map(
-                "{},{},{}".format,
-                ids[net.source[block]].tolist(),
-                ids[net.target[block]].tolist(),
-                net.weight[block].tolist(),
+                ",".join,
+                zip(
+                    ids[net.source[block]].tolist(),
+                    ids[net.target[block]].tolist(),
+                    map(str, net.weight[block].tolist()),
+                ),
             )
             handle.write("\r\n".join(rows))
             handle.write("\r\n")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNetworkError, InputError, NumericError, require_integer
+from .errors import EmptyNetworkError, InputError, NumericError, require_integer, require_real
 from .network import CitationNetwork
 
 __all__ = [
@@ -58,9 +58,9 @@ class PageRankConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dangling_policy", DanglingPolicy(self.dangling_policy))
-        if not 0.0 <= self.damping < 1.0:
+        if not 0.0 <= require_real(self.damping, "damping") < 1.0:
             raise InputError(f"damping must be in [0, 1), got {self.damping}")
-        if not self.tolerance > 0.0:
+        if not require_real(self.tolerance, "tolerance") > 0.0:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
         if require_integer(self.max_iterations, "max_iterations") < 1:
             raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")

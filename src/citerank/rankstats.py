@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -445,7 +446,10 @@ def pca(corr, retain: int, variables: Sequence[str] | None = None) -> PcaResult:
         raise InputError(f"retain must be between 1 and {p}, got {retain}")
     if variables is None:
         variables = tuple(f"var{i + 1}" for i in range(p))
-    variables = tuple(variables)
+    if isinstance(variables, Iterable) and not isinstance(variables, str):
+        variables = tuple(variables)
+    if not (isinstance(variables, tuple) and all(isinstance(name, str) for name in variables)):
+        raise InputError(f"variables must be an iterable of names, got {variables!r}")
     if len(variables) != p:
         raise InputError("variable names must match the matrix size")
 

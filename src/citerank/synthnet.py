@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, require_integer
+from .errors import InputError, NumericError, require_integer, require_real
 from .network import CitationNetwork
 
 __all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate_traced"]
@@ -48,16 +48,18 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if require_integer(self.n_nodes, "n_nodes") < 1:
             raise InputError("n_nodes must be positive")
-        if not math.isfinite(self.mean_out_citations):
+        if not math.isfinite(require_real(self.mean_out_citations, "mean_out_citations")):
             raise InputError("mean_out_citations must be finite")
         if not self.mean_out_citations > 0:
             raise InputError("mean_out_citations must be positive")
         if self.mean_out_citations > _POISSON_LAM_MAX:
             raise InputError(f"mean_out_citations must be at most {_POISSON_LAM_MAX:.6g}")
-        if not math.isfinite(self.attachment_exponent):
+        if not math.isfinite(require_real(self.attachment_exponent, "attachment_exponent")):
             raise InputError("attachment_exponent must be finite")
         if self.attachment_exponent < 0:
             raise InputError("attachment_exponent must be non-negative")
+        if not isinstance(self.cartel, CartelSpec | None):
+            raise InputError(f"cartel must be a CartelSpec or None, got {self.cartel!r}")
         if self.cartel is not None and self.cartel.member_count >= self.n_nodes:
             raise InputError("cartel must be smaller than the network")
         if require_integer(self.seed, "seed") < 0:
@@ -75,51 +77,23 @@ def _node_ids(n: int) -> tuple[str, ...]:
     return tuple(f"inst-{i:0{width}d}" for i in range(n))
 
 
-class _SumTree:
+def _sum_tree(weights: list[float]) -> list[float]:
     """Binary tree of partial sums over non-negative weights, one leaf each.
 
-    Each internal node is recomputed as the sum of its two children, so its
-    rounding depends only on the tree's depth, not on how many updates came
-    before, and putting a weight back restores every node exactly.
+    Node 1 is the root, node j has children 2j and 2j + 1, and the leaves
+    start at the returned list's midpoint, padded with zeros to a power of
+    two. Each internal node is recomputed as the sum of its two children, so
+    its rounding depends only on the tree's depth, not on how many updates
+    came before, and putting a weight back restores every node exactly.
     """
-
-    def __init__(self, weights: list[float]) -> None:
-        size = 1
-        while size < len(weights):
-            size *= 2
-        self.size = size
-        self.depth = size.bit_length() - 1
-        tree = [0.0] * (2 * size)
-        tree[size : size + len(weights)] = weights
-        for j in range(size - 1, 0, -1):
-            tree[j] = tree[2 * j] + tree[2 * j + 1]
-        self.tree = tree
-
-    @property
-    def total(self) -> float:
-        return self.tree[1]
-
-    def set(self, i: int, weight: float) -> None:
-        tree = self.tree
-        j = self.size + i
-        tree[j] = weight
-        j >>= 1
-        while j:
-            tree[j] = tree[2 * j] + tree[2 * j + 1]
-            j >>= 1
-
-    def find(self, x: float) -> tuple[int, float, float]:
-        """Leaf whose slot [lo, hi) of the running sum holds x, with lo and hi."""
-        tree = self.tree
-        j = 1
-        lo = 0.0
-        while j < self.size:
-            j *= 2
-            left = tree[j]
-            if x >= lo + left:
-                lo += left
-                j += 1
-        return j - self.size, lo, lo + tree[j]
+    size = 1
+    while size < len(weights):
+        size *= 2
+    tree = [0.0] * (2 * size)
+    tree[size : size + len(weights)] = weights
+    for j in range(size - 1, 0, -1):
+        tree[j] = tree[2 * j] + tree[2 * j + 1]
+    return tree
 
 
 # Rounding allowed, per weight summed and relative to the total weight,
@@ -138,6 +112,9 @@ _ROUNDING_PER_WEIGHT = 4 * sys.float_info.epsilon
 # Above this total, numpy's own sum of the weights may overflow and make
 # choice fail, so the draw is left to numpy's arithmetic.
 _LARGEST_TREE_TOTAL = sys.float_info.max / 2
+# Uniform draws taken per generator call: k at once are the same numbers
+# as k single draws, and the cap bounds the array for a large out-degree.
+_UNIFORMS_PER_CALL = 1024
 
 
 def _attachment_weights(count: int, exponent: float) -> list[float]:
@@ -166,24 +143,6 @@ def _exact_draw(received: list[int], source: int, exponent: float, u: float) -> 
     return int(cdf.searchsorted(u, side="right"))
 
 
-def _draw(tree: _SumTree, received: list[int], source: int, exponent: float, u: float) -> int:
-    """Target of one citation from `source`, for the uniform draw u.
-
-    Returns the index that rng.choice(n, p=weights / weights.sum()) returns
-    when its uniform draw is u, in O(log n) unless u lies within the
-    rounding margin of a slot edge.
-    """
-    total = tree.total
-    if total < _LARGEST_TREE_TOTAL:
-        x = u * total
-        index, lo, hi = tree.find(x)
-        margin = _ROUNDING_PER_WEIGHT * (len(received) + 2 * tree.depth) * total
-        # an empty slot (the source, or padding past the last node) never passes
-        if x - lo > margin and hi - x > margin:
-            return index
-    return _exact_draw(received, source, exponent, u)
-
-
 def generate_traced(cfg: SynthConfig) -> SynthResult:
     """Generate a network and report which nodes got the cartel treatment.
 
@@ -205,24 +164,58 @@ def generate_traced(cfg: SynthConfig) -> SynthResult:
     ids = _node_ids(n)
     received = [0] * n
     weight_of = _attachment_weights(64, exponent)  # indexed by citations received
-    tree = _SumTree([weight_of[0]] * n)
+    tree = _sum_tree([weight_of[0]] * n)
+    size = len(tree) // 2
+    rounding = _ROUNDING_PER_WEIGHT * (n + 2 * (size.bit_length() - 1))
+    held = size  # the leaf whose weight is out of the tree; at first node 0's, unchanged
     sources: list[int] = []
     targets: list[int] = []
     for source in range(n):
         n_out = int(rng.poisson(cfg.mean_out_citations))
         if n == 1 or n_out == 0:
             continue
-        tree.set(source, 0.0)
-        for _ in range(n_out):
-            target = _draw(tree, received, source, exponent, rng.random())
-            sources.append(source)
-            targets.append(target)
-            received[target] += 1
-            count = received[target]
-            if count == len(weight_of):
-                weight_of = _attachment_weights(2 * count, exponent)
-            tree.set(target, weight_of[count])
-        tree.set(source, weight_of[received[source]])
+        # put the last citing source's weight back and take this source's out,
+        # then recompute each of their ancestors once, after its children
+        a, b = held, size + source
+        tree[a] = weight_of[received[a - size]]
+        tree[b] = 0.0
+        held = b
+        while b > 1:
+            a >>= 1
+            b >>= 1
+            if a != b:
+                tree[a] = tree[2 * a] + tree[2 * a + 1]
+            tree[b] = tree[2 * b] + tree[2 * b + 1]
+        sources += [source] * n_out
+        for start in range(0, n_out, _UNIFORMS_PER_CALL):
+            for u in rng.random(min(n_out - start, _UNIFORMS_PER_CALL)).tolist():
+                # descend to the leaf j whose slot [lo, lo + tree[j]) of the running sum holds x
+                total = tree[1]
+                x = u * total
+                j, lo = 1, 0.0
+                while j < size:
+                    j *= 2
+                    left = tree[j]
+                    if x >= lo + left:
+                        lo += left
+                        j += 1
+                margin = rounding * total
+                # an empty slot (the source, or padding past the last node) never passes
+                if total < _LARGEST_TREE_TOTAL and x - lo > margin and lo + tree[j] - x > margin:
+                    target = j - size
+                else:
+                    target = _exact_draw(received, source, exponent, u)
+                    j = size + target
+                targets.append(target)
+                count = received[target] + 1
+                received[target] = count
+                if count == len(weight_of):
+                    weight_of = _attachment_weights(2 * count, exponent)
+                tree[j] = weight_of[count]
+                j >>= 1
+                while j:
+                    tree[j] = tree[2 * j] + tree[2 * j + 1]
+                    j >>= 1
 
     weights = [1] * len(sources)
     members: tuple[str, ...] = ()

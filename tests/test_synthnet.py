@@ -76,6 +76,15 @@ def test_matches_rng_choice_reference_at_2000_nodes_with_cartel():
     )
 
 
+def test_out_degree_past_one_uniform_batch_matches_reference():
+    # about 1,500 citations per source: each source takes its uniform draws in
+    # more than one rng.random call, which must leave the stream unchanged
+    cfg = SynthConfig(20, mean_out_citations=1500.0, seed=11,
+                      cartel=CartelSpec(member_count=3, internal_weight_boost=2))
+    assert cfg.mean_out_citations > synthnet._UNIFORMS_PER_CALL
+    _assert_matches_reference(cfg)
+
+
 @pytest.mark.parametrize("rounding", [2e-6, 0.5])
 def test_exact_path_matches_reference(monkeypatch, rounding):
     # a wider margin sends a share of the draws (at 0.5: every draw) down
