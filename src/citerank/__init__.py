@@ -10,17 +10,7 @@ compiles only the modules it runs.
 __version__ = "0.1.0"
 
 import importlib as _importlib
-import os as _os
 import sys as _sys
-
-# The CLI loads numpy with one OpenBLAS thread, so its output does not depend on the core count.
-if _os.path.basename("".join(_sys.argv[:1])) in ("-m", "citerank") and "numpy" not in _sys.modules \
-        and _os.environ.keys().isdisjoint(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy  # noqa: F401
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .network import *  # noqa: F403
 from .pagerank import *  # noqa: F403  (binds `pagerank`, the function, over its module)

@@ -58,9 +58,11 @@ class PageRankConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dangling_policy", DanglingPolicy(self.dangling_policy))
-        if not 0.0 <= require_real(self.damping, "damping") < 1.0:
+        for name in ("damping", "tolerance"):  # as floats, so no Fraction reaches numpy; checked as stored
+            object.__setattr__(self, name, float(require_real(getattr(self, name), name)))
+        if not 0.0 <= self.damping < 1.0:
             raise InputError(f"damping must be in [0, 1), got {self.damping}")
-        if not require_real(self.tolerance, "tolerance") > 0.0:
+        if not self.tolerance > 0.0:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
         if require_integer(self.max_iterations, "max_iterations") < 1:
             raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")

@@ -8,9 +8,10 @@ correlation matrix with varimax rotation of the retained loadings.
 
 Every statistic checks its vectors once, in _vectors: 1-D, of one length
 and finite. Pearson correlations first scale each vector by a power of two,
-which is exact and keeps the squares of extreme magnitudes in range. All
-functions are pure and operate on immutable inputs, so they are safe to
-call concurrently.
+which is exact and keeps the squares of extreme magnitudes in range. Their
+sums of squares and products, and Kendall's S, are exactly rounded
+(math.fsum; Shewchuk, DCG 1997), so no BLAS thread count or SIMD width
+changes a result. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -91,15 +92,19 @@ def _unit_scale(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
 
 
-def _pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    x, y = _unit_scale(x), _unit_scale(y)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedStatisticError("correlation undefined for a zero-variance input")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
+def _centered(v: np.ndarray, what: str = "input") -> tuple[np.ndarray, float]:
+    """v's deviations from its mean, after _unit_scale, and their sum of squares."""
+    if v.min() == v.max():  # not a zero sum: the rounded mean of equal values can differ from them
+        raise UndefinedStatisticError(f"correlation undefined for a zero-variance {what}")
+    d = _unit_scale(v)
+    d = d - d.mean()
+    return d, math.fsum((d * d).tolist())
+
+
+def _pearson_r(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """Pearson's r of two _centered vectors; each sum is exactly rounded (math.fsum)."""
+    (dx, sxx), (dy, syy) = x, y
+    r = math.fsum((dx * dy).tolist()) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
 
@@ -165,7 +170,7 @@ def pearson(x, y) -> tuple[float, float]:
     xv, yv = _vectors(x, y)
     if xv.size < 3:
         raise InputError(f"pearson needs at least 3 points, got {xv.size}")
-    r = _pearson_r(xv, yv)
+    r = _pearson_r(_centered(xv), _centered(yv))
     return r, _t_two_sided_p(r, xv.size - 2)
 
 
@@ -174,7 +179,7 @@ def spearman(x, y) -> tuple[float, float]:
     xv, yv = _vectors(x, y)
     if xv.size < 3:
         raise InputError(f"spearman needs at least 3 points, got {xv.size}")
-    rho = _pearson_r(average_rank(xv), average_rank(yv))
+    rho = _pearson_r(_centered(average_rank(xv)), _centered(average_rank(yv)))
     return rho, _t_two_sided_p(rho, xv.size - 2)
 
 
@@ -196,7 +201,7 @@ def kendall_w(rows) -> float:
     ranked = np.vstack([average_rank(row) for row in rows])
     rank_sums = ranked.sum(axis=0)
     deviations = rank_sums - rank_sums.mean()
-    s = float(deviations @ deviations)
+    s = math.fsum((deviations * deviations).tolist())
     tie_term = 0.0
     for row in ranked:
         _, counts = np.unique(row, return_counts=True)
@@ -225,7 +230,8 @@ def partial_correlation(x, y, z) -> tuple[float, float]:
     xv, yv, zv = _vectors(x, y, z)
     if xv.size < 4:
         raise InputError(f"partial correlation needs at least 4 points, got {xv.size}")
-    r = partial_from_pairwise(_pearson_r(xv, yv), _pearson_r(xv, zv), _pearson_r(yv, zv))
+    cx, cy, cz = _centered(xv), _centered(yv), _centered(zv)
+    r = partial_from_pairwise(_pearson_r(cx, cy), _pearson_r(cx, cz), _pearson_r(cy, cz))
     return r, _t_two_sided_p(r, xv.size - 3)
 
 
@@ -349,17 +355,18 @@ class PcaResult:
 
 
 def correlation_matrix(columns: Mapping[str, Sequence[float]]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Pearson correlation matrix of named columns (observations standardized)."""
+    """Pearson correlation matrix of named columns: pearson()'s r for each pair, mirrored."""
     names = tuple(columns)
     if len(names) < 2:
         raise InputError("need at least two columns to correlate")
     vectors = _vectors(*(columns[name] for name in names))
     if vectors[0].size < 3:
         raise InputError("need at least 3 observations to correlate")
-    data = np.column_stack([_unit_scale(v) for v in vectors])
-    if np.any(data.std(axis=0) == 0.0):
-        raise UndefinedStatisticError("correlation undefined for a zero-variance column")
-    return np.corrcoef(data, rowvar=False), names
+    centered = [_centered(v, f"column {name!r}") for name, v in zip(names, vectors)]
+    corr = np.eye(len(names))
+    for (i, x), (j, y) in itertools.combinations(enumerate(centered), 2):
+        corr[i, j] = corr[j, i] = _pearson_r(x, y)
+    return corr, names
 
 
 def _fix_column_signs(mat: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import citerank
-from citerank import compare_columns, pca
+from citerank import compare_columns, correlation_matrix, pca
 from citerank.cli import main
 from citerank.fileio import bundled_data, read_correlation_csv, write_ranking_csv
 
@@ -665,6 +665,14 @@ def test_pca_retain_larger_than_dimension_exits_one(tmp_path, capsys):
     assert "retain" in capsys.readouterr().err
 
 
+def test_pca_names_a_constant_column(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_text("institution,a,flat,c\ni1,1.0,0.7,3.0\ni2,2.0,0.7,1.0\ni3,4.0,0.7,2.0\n")
+    rc = main(["pca", "--table", str(path), "--retain", "1", "--out", str(tmp_path / "p")])
+    assert rc == 1
+    assert "zero-variance column 'flat'" in capsys.readouterr().err
+
+
 def test_pca_columns_with_corr_exits_one(tmp_path, capsys):
     out = tmp_path / "p"
     rc = main(["pca", "--corr", str(CORR), "--columns", "a", "--retain", "2", "--out", str(out)])
@@ -984,7 +992,7 @@ def test_cli_chain_runs_without_scipy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads of CLI runs
+# Statistics that do not depend on the BLAS thread count
 # ---------------------------------------------------------------------------
 
 # a sitecustomize that records, in the file named by THREAD_EVENTS, every write of a
@@ -1002,47 +1010,70 @@ _path = os.environ["THREAD_EVENTS"]
 atexit.register(lambda: open(_path, "w", encoding="utf-8").write("\\n".join(_seen)))
 """
 
-_ONE_THREAD = ["os.putenv OPENBLAS_NUM_THREADS 1", "import numpy", "os.unsetenv OPENBLAS_NUM_THREADS"]
 
-
-@pytest.mark.parametrize("argv, variables, expected", [
-    (["-m", "citerank.cli", "--help"], {}, _ONE_THREAD),
-    (["-c", "import sys; sys.argv[0] = '/bin/citerank'; import citerank"], {}, _ONE_THREAD),
-    (["-m", "citerank.cli", "--help"], {"OPENBLAS_NUM_THREADS": "3"}, ["import numpy"]),
-    (["-m", "citerank.cli", "--help"], {"GOTO_NUM_THREADS": "3"}, ["import numpy"]),
-    (["-m", "citerank.cli", "--help"], {"OMP_NUM_THREADS": "3"}, ["import numpy"]),
-    (["-c", "import citerank"], {}, ["import numpy"]),
-    (["-c", "import numpy, sys; sys.argv[0] = '-m'; import citerank"], {}, ["import numpy"]),
-], ids=["python-m", "console-script", "openblas-set", "goto-set", "omp-set", "library", "numpy-first"])
-def test_only_the_cli_loads_numpy_with_one_blas_thread(tmp_path, argv, variables, expected):
-    # sys.argv[0] is "-m" while `python -m citerank.cli` imports the package; the variable is
-    # set only around numpy's import, so child processes see the environment as it was found,
-    # and a caller's thread variable or a numpy loaded first is left alone
+@pytest.mark.parametrize("argv", [
+    ["-m", "citerank.cli", "--help"],
+    ["-c", "import sys; sys.argv[0] = '/bin/citerank'; import citerank"],
+    ["-c", "import citerank"],
+], ids=["python-m", "console-script", "library"])
+def test_no_launch_writes_a_thread_variable(tmp_path, argv):
+    # exact sums make the results independent of the thread count, so neither the CLI nor
+    # the library touches numpy's threads: they stay as the caller's environment sets them
     (tmp_path / "sitecustomize.py").write_text(_THREAD_AUDIT)
     events = tmp_path / "events.txt"
-    _fresh_python(*argv, path=[tmp_path], THREAD_EVENTS=str(events), **variables)
-    assert events.read_text().split("\n") == expected
+    _fresh_python(*argv, path=[tmp_path], THREAD_EVENTS=str(events))
+    assert events.read_text().split("\n") == ["import numpy"]
 
 
-def test_cli_statistics_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # above 10,000 rows OpenBLAS may split a dot product across threads, which moves the
-    # last digits of r (compare differs at 1 and 2 threads without the rule); pca's n x k
-    # correlation product is checked on the same table
+def _lognormal_table(tmp_path):
+    # above 10,000 rows OpenBLAS may split a dot product across threads, which moved the last
+    # digits of r before the sums were exactly rounded (compare differed at 1 and 2 threads)
     values = np.random.default_rng(12000).lognormal(size=(12000, 3))
     table = tmp_path / "table.csv"
     table.write_text("institution,a,b,c\n" + "".join(
         f"i{k},{','.join(map(repr, map(float, row)))}\n" for k, row in enumerate(values)))
+    return table, values
+
+
+# the library battery on the columns saved in the .npy file named by the first argument
+_LIBRARY_CALLS = """
+import sys, numpy as np
+from citerank import compare_columns, correlation_matrix, kendall_w
+a, b, c = np.load(sys.argv[1]).T
+print(repr(compare_columns(a, b, {"c": c})))
+print(repr(kendall_w([a, b, c])))
+print(repr(correlation_matrix({"a": a, "b": b, "c": c})[0].tolist()))
+"""
+
+
+def test_statistics_do_not_depend_on_the_blas_thread_count(tmp_path):
+    table, values = _lognormal_table(tmp_path)
+    np.save(tmp_path / "values.npy", values)
     outputs = []
-    for name, variables in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
-        out = tmp_path / name
+    for threads in ("1", "2", "4"):
+        out = tmp_path / threads
         _fresh_python("-m", "citerank.cli", "compare", table, "--col-a", "a", "--col-b", "b",
-                      "--control", "c", "--out", out / "compare", **variables)
+                      "--control", "c", "--out", out / "compare", OPENBLAS_NUM_THREADS=threads)
         _fresh_python("-m", "citerank.cli", "pca", "--table", table, "--retain", "2",
-                      "--out", out / "pca", **variables)
-        outputs.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
-                        if path.is_file() and path.name != "manifest.json"})
-    assert len(outputs[0]) == 7
-    assert outputs[0] == outputs[1]
+                      "--out", out / "pca", OPENBLAS_NUM_THREADS=threads)
+        files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+                 if path.is_file() and path.name != "manifest.json"}
+        library = _fresh_python("-c", _LIBRARY_CALLS, tmp_path / "values.npy", OPENBLAS_NUM_THREADS=threads)
+        outputs.append((files, library))
+    assert len(outputs[0][0]) == 7
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_correlation_matrix_is_symmetric_bit_for_bit(tmp_path):
+    # np.corrcoef's two halves differed by 1.7e-18 on this table
+    table, values = _lognormal_table(tmp_path)
+    matrix, _names = correlation_matrix(dict(zip("abc", values.T)))
+    assert np.array_equal(matrix, matrix.T)
+    assert np.diag(matrix).tolist() == [1.0, 1.0, 1.0]
+    assert main(["pca", "--table", str(table), "--retain", "2", "--out", str(tmp_path / "pca")]) == 0
+    cells = [row[1:] for row in _read_csv(tmp_path / "pca" / "derived_correlations.csv")[1:]]
+    assert cells == [list(column) for column in zip(*cells)]
+    assert [cells[k][k] for k in range(3)] == ["1"] * 3
 
 
 _TABLE = "institution,a,b\ni1,1.0,2.0\ni2,2.0,1.5\ni3,3.0,4.0\ni4,4.5,3.0\n"

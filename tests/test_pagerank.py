@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from conftest import (
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [{"damping": 1.0}, {"damping": -0.1}, {"tolerance": 0.0}, {"max_iterations": 0}])
+@pytest.mark.parametrize("bad", [{"damping": 1.0}, {"damping": -0.1}, {"tolerance": 0.0}, {"max_iterations": 0},
+                                 {"tolerance": Fraction(1, 10**400)}])  # positive, but 0.0 as a float
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         PageRankConfig(**bad)
@@ -36,6 +39,16 @@ def test_config_rejects_bad_values(bad):
 def test_config_accepts_policy_string():
     cfg = PageRankConfig(dangling_policy="teleport_only")
     assert cfg.dangling_policy is DanglingPolicy.TELEPORT
+
+
+def test_fraction_config_solves_like_its_floats():
+    # damping and tolerance are stored as floats, so no Fraction reaches the numpy solver
+    net = make_random_network(np.random.default_rng(7), 12)
+    cfg = PageRankConfig(damping=Fraction(1, 2), tolerance=Fraction(1, 10**9))
+    assert (type(cfg.damping), type(cfg.tolerance)) == (float, float)
+    got, want = pagerank(net, cfg), pagerank(net, PageRankConfig(damping=0.5, tolerance=1e-9))
+    assert np.array_equal(got.scores, want.scores)
+    assert (got.iterations_used, got.final_delta) == (want.iterations_used, want.final_delta)
 
 
 # ---------------------------------------------------------------------------

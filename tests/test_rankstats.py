@@ -188,6 +188,9 @@ def test_pearson_hand_case():
 def test_pearson_rejects_zero_variance_and_short_input():
     with pytest.raises(UndefinedStatisticError):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    # the rounded mean of three 0.7s is not 0.7, so a zero sum of squares would miss it
+    with pytest.raises(UndefinedStatisticError, match="zero-variance input"):
+        pearson([1.0, 2.0, 3.0], [0.7, 0.7, 0.7])
     with pytest.raises(InputError):
         pearson([1.0, 2.0], [1.0, 2.0])
 
@@ -609,14 +612,17 @@ def test_correlation_matrix_from_columns():
     corr, names = correlation_matrix(cols)
     assert names == ("a", "b", "c")
     assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
-    assert corr[0, 1] == pytest.approx(pearson(cols["a"], cols["b"])[0], abs=1e-12)
+    for i, j in ((0, 1), (0, 2), (1, 2)):  # one kernel: each entry is pearson()'s r, bit for bit
+        assert corr[i, j] == corr[j, i] == pearson(cols[names[i]], cols[names[j]])[0]
     result = pca(corr, retain=2)
     assert result.eigenvalues.sum() == pytest.approx(3.0, abs=1e-10)
 
 
 def test_correlation_matrix_rejects_constant_column():
-    with pytest.raises(UndefinedStatisticError):
+    with pytest.raises(UndefinedStatisticError, match="zero-variance column 'a'"):
         correlation_matrix({"a": [1.0, 1.0, 1.0], "b": [1.0, 2.0, 3.0]})
+    with pytest.raises(UndefinedStatisticError, match="zero-variance column 'c'"):
+        correlation_matrix({"a": [1.0, 2.0, 4.0], "b": [1.0, 3.0, 2.0], "c": [0.7, 0.7, 0.7]})
 
 
 # ---------------------------------------------------------------------------
