@@ -50,14 +50,24 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunManifest:
-    """Record of one CLI invocation, written next to the outputs."""
+    """Record of one CLI invocation; making one creates --out, and path(name) lists each output."""
 
     command: str
+    out: Path
     inputs: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
+    outputs: list = field(default_factory=list, init=False)
 
-    def write(self, out_dir: Path) -> None:
+    def __post_init__(self) -> None:
+        self.out = Path(self.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str) -> Path:
+        """Where to write the output `name`, now listed in the manifest."""
+        self.outputs.append(name)
+        return self.out / name
+
+    def write(self) -> None:
         payload = {
             "command": self.command,
             "inputs": {k: str(v) for k, v in self.inputs.items()},
@@ -66,13 +76,7 @@ class RunManifest:
             "version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
-        fileio.write_json(payload, out_dir / "manifest.json")
-
-
-def _prepare_out(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        fileio.write_json(payload, self.out / "manifest.json")
 
 
 def _require_file(path: str) -> Path:
@@ -114,9 +118,9 @@ def _cmd_build(args) -> int:
     except UnicodeDecodeError as exc:
         raise EncodingError(records_path, exc) from exc
 
-    out = _prepare_out(args.out)
     manifest = RunManifest(
         command="build",
+        out=args.out,
         inputs={"records": records_path},
         flags={
             "subject": profile.name,
@@ -128,8 +132,7 @@ def _cmd_build(args) -> int:
     )
     if parsed.issues:
         issues = ([issue.line, issue.message] for issue in parsed.issues)
-        fileio.write_csv(out / "parse_issues.csv", ["line", "message"], issues)
-        manifest.outputs.append("parse_issues.csv")
+        fileio.write_csv(manifest.path("parse_issues.csv"), ["line", "message"], issues)
         print(f"skipped {len(parsed.issues)} malformed line(s); see parse_issues.csv")
     if not parsed.records:
         raise InputError("no records parsed from input")
@@ -148,9 +151,9 @@ def _cmd_build(args) -> int:
     net = ingest.build_network(parsed.records, rows, retained, keep_self_loops=args.self_loops)
 
     report = network.degree_report(net)
-    fileio.write_edge_list(net, out / "edges.csv")
-    fileio.write_nodes_csv(net, out / "nodes.csv", report.in_degree, report.degree_centrality)
-    fileio.write_distribution_csv(report.centrality_distribution, out / "centrality_distribution.csv")
+    fileio.write_edge_list(net, manifest.path("edges.csv"))
+    fileio.write_nodes_csv(net, manifest.path("nodes.csv"), report.in_degree, report.degree_centrality)
+    fileio.write_distribution_csv(report.centrality_distribution, manifest.path("centrality_distribution.csv"))
     fileio.write_json(
         {
             "subject": profile.name,
@@ -161,10 +164,9 @@ def _cmd_build(args) -> int:
             "records_used": int(rows.sum()),
             "records_parsed": len(parsed.records),
         },
-        out / "summary.json",
+        manifest.path("summary.json"),
     )
-    manifest.outputs += ["edges.csv", "nodes.csv", "centrality_distribution.csv", "summary.json"]
-    manifest.write(out)
+    manifest.write()
     print(
         f"built {profile.name} network: {net.n_nodes} institutions, "
         f"{net.n_edges} edges, {net.total_weight} citations"
@@ -192,23 +194,22 @@ def _cmd_pagerank(args) -> int:
             f"(last delta {result.final_delta:.3e}); raise --max-iter or --tol"
         )
     normalized = scoring.normalize_pagerank(result.scores)
-    out = _prepare_out(args.out)
-    fileio.write_ranking_csv(out / "ranking.csv", net.node_ids, result.scores, normalized)
     manifest = RunManifest(
         command="pagerank",
+        out=args.out,
         inputs={"network": args.network},
         flags={
             "damping": args.damping,
             "tol": args.tol,
             "max_iter": args.max_iter,
             "dangling": cfg.dangling_policy.value,
+            "iterations_used": result.iterations_used,
         },
-        outputs=["ranking.csv"],
     )
     if args.nodes:
         manifest.inputs["nodes"] = args.nodes
-    manifest.flags["iterations_used"] = result.iterations_used
-    manifest.write(out)
+    fileio.write_ranking_csv(manifest.path("ranking.csv"), net.node_ids, result.scores, normalized)
+    manifest.write()
     print(f"ranked {net.n_nodes} institutions in {result.iterations_used} iterations")
     return 0
 
@@ -230,26 +231,25 @@ def _cmd_compare(args) -> int:
     table = fileio.read_score_table(_require_file(args.table))
     a, b, *controls = _columns(table, [args.col_a, args.col_b, *args.control])
     report = rankstats.compare_columns(a, b, dict(zip(args.control, controls)))
-    out = _prepare_out(args.out)
-    fileio.write_json(report.to_dict(), out / "report.json")
+    manifest = RunManifest(
+        command="compare",
+        out=args.out,
+        inputs={"table": args.table},
+        flags={"col_a": args.col_a, "col_b": args.col_b, "controls": list(args.control)},
+    )
+    fileio.write_json(report.to_dict(), manifest.path("report.json"))
     stats = asdict(report)  # the scalars, in field order, then the partials and displacement
     partial, displacement = stats.pop("partial"), stats.pop("displacement")
     for name, (r, p) in sorted(partial.items()):
         stats[f"partial_r_given_{name}"], stats[f"partial_p_given_{name}"] = r, p
     stats.update((f"displacement_{key}", value) for key, value in displacement.items())
     fileio.write_csv(
-        out / "report.csv",
+        manifest.path("report.csv"),
         ["statistic", "value"],
         ([name, fileio.fmt(value)] for name, value in stats.items()),
         lineterminator="\n",
     )
-    manifest = RunManifest(
-        command="compare",
-        inputs={"table": args.table},
-        flags={"col_a": args.col_a, "col_b": args.col_b, "controls": list(args.control)},
-        outputs=["report.json", "report.csv"],
-    )
-    manifest.write(out)
+    manifest.write()
     print(
         f"compared {args.col_a!r} vs {args.col_b!r}: "
         f"pearson {report.pearson_r:.4f}, spearman {report.spearman_rho:.4f}, "
@@ -262,8 +262,7 @@ def _cmd_pca(args) -> int:
     from . import rankstats
     if args.corr is not None and args.columns is not None:
         raise InputError("--columns needs --table; --corr reads every variable of the matrix")
-    out = _prepare_out(args.out)
-    manifest = RunManifest(command="pca", flags={"retain": args.retain})
+    manifest = RunManifest(command="pca", out=args.out, flags={"retain": args.retain})
     if args.corr is not None:
         matrix, names = fileio.read_correlation_csv(_require_file(args.corr))
         manifest.inputs["corr"] = args.corr
@@ -271,15 +270,14 @@ def _cmd_pca(args) -> int:
         table = fileio.read_score_table(_require_file(args.table))
         names = [n.strip() for n in args.columns.split(",")] if args.columns else table.column_names
         matrix, names = rankstats.correlation_matrix(dict(zip(names, _columns(table, names))))
-        fileio.write_correlation_csv(matrix, names, out / "derived_correlations.csv")
+        fileio.write_correlation_csv(matrix, names, manifest.path("derived_correlations.csv"))
         manifest.inputs["table"] = args.table
         manifest.flags["columns"] = list(names)
-        manifest.outputs.append("derived_correlations.csv")
     result = rankstats.pca(matrix, retain=args.retain, variables=names)
 
     rotated = [fileio.fmt(share) for share in result.rotated_variance_share[: result.retained]]
     fileio.write_csv(
-        out / "variance.csv",
+        manifest.path("variance.csv"),
         ["component", "eigenvalue", "explained_share", "rotated_variance_share"],
         (
             [k + 1, fileio.fmt(value), fileio.fmt(share), rotated[k] if k < len(rotated) else ""]
@@ -287,11 +285,10 @@ def _cmd_pca(args) -> int:
         ),
         lineterminator="\n",
     )
-    fileio.write_loadings_csv(result.variables, result.loadings, out / "loadings_initial.csv")
-    fileio.write_loadings_csv(result.variables, result.rotated_loadings, out / "loadings_rotated.csv")
-    fileio.write_json(asdict(result), out / "pca.json")
-    manifest.outputs += ["variance.csv", "loadings_initial.csv", "loadings_rotated.csv", "pca.json"]
-    manifest.write(out)
+    fileio.write_loadings_csv(result.variables, result.loadings, manifest.path("loadings_initial.csv"))
+    fileio.write_loadings_csv(result.variables, result.rotated_loadings, manifest.path("loadings_rotated.csv"))
+    fileio.write_json(asdict(result), manifest.path("pca.json"))
+    manifest.write()
     top = float(result.explained_share[: args.retain].sum())
     print(
         f"retained {args.retain} of {len(result.eigenvalues)} components "
@@ -317,10 +314,9 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     traced = synthnet.generate_traced(cfg)
-    out = _prepare_out(args.out)
-    fileio.write_edge_list(traced.network, out / "edges.csv")
     manifest = RunManifest(
         command="synth",
+        out=args.out,
         flags={
             "nodes": args.nodes,
             "mean_out": args.mean_out,
@@ -330,9 +326,9 @@ def _cmd_synth(args) -> int:
             "seed": args.seed,
             "cartel_members": list(traced.cartel_members),
         },
-        outputs=["edges.csv"],
     )
-    manifest.write(out)
+    fileio.write_edge_list(traced.network, manifest.path("edges.csv"))
+    manifest.write()
     net = traced.network
     print(f"generated network: {net.n_nodes} nodes, {net.n_edges} edges, {net.total_weight} citations")
     return 0
@@ -351,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a citation network from JSONL records")
+    p_build.set_defaults(run=_cmd_build)
     p_build.add_argument("records", help="JSON Lines publication records")
     p_build.add_argument("--subject", required=True, help="subject profile name (e.g. TEL)")
     p_build.add_argument("--profiles", help=f"profile config JSON (or ${PROFILE_ENV_VAR})")
@@ -360,20 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", required=True, help="output directory")
 
     p_pr = sub.add_parser("pagerank", help="rank institutions in an edge-list network")
+    p_pr.set_defaults(run=_cmd_pagerank)
     p_pr.add_argument("network", help="edge list CSV (source,target,weight)")
     p_pr.add_argument("--nodes", help="nodes.csv of the network: rank every institution it lists")
-    p_pr.add_argument("--damping", type=float, default=0.85)
-    p_pr.add_argument("--tol", type=float, default=1e-12)
-    p_pr.add_argument("--max-iter", type=int, default=1000)
+    p_pr.add_argument("--damping", type=float, default=PageRankConfig.damping)
+    p_pr.add_argument("--tol", type=float, default=PageRankConfig.tolerance)
+    p_pr.add_argument("--max-iter", type=int, default=PageRankConfig.max_iterations)
     p_pr.add_argument(
         "--dangling",
         choices=[p.value for p in DanglingPolicy],
-        default=DanglingPolicy.UNIFORM.value,
+        default=PageRankConfig.dangling_policy.value,
         help="how to spread the mass of institutions with no outgoing citations",
     )
     p_pr.add_argument("--out", required=True)
 
     p_cmp = sub.add_parser("compare", help="run the comparison battery on two score columns")
+    p_cmp.set_defaults(run=_cmd_compare)
     p_cmp.add_argument("table", help="score table CSV (institution,<column>,...)")
     p_cmp.add_argument("--col-a", required=True)
     p_cmp.add_argument("--col-b", required=True)
@@ -383,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True)
 
     p_pca = sub.add_parser("pca", help="principal components of a correlation matrix")
+    p_pca.set_defaults(run=_cmd_pca)
     source = p_pca.add_mutually_exclusive_group(required=True)
     source.add_argument("--corr", help="correlation matrix CSV (variable,<name>,...)")
     source.add_argument("--table", help="score table CSV to standardize and correlate")
@@ -391,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca.add_argument("--out", required=True)
 
     p_syn = sub.add_parser("synth", help="generate a seeded synthetic citation network")
+    p_syn.set_defaults(run=_cmd_synth)
     p_syn.add_argument("--nodes", type=int, required=True)
     p_syn.add_argument("--mean-out", type=float, default=5.0)
     p_syn.add_argument("--exponent", type=float, default=1.0)
@@ -402,20 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "pagerank": _cmd_pagerank,
-    "compare": _cmd_compare,
-    "pca": _cmd_pca,
-    "synth": _cmd_synth,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (CiteRankError, OSError) as exc:  # an input that is not UTF-8 raises EncodingError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,7 @@ Everything user-facing derives from CiteRankError so the CLI can map
 library failures to exit code 1 and reserve exit code 2 for genuine bugs.
 """
 
+import math
 from numbers import Integral, Real
 
 
@@ -26,11 +27,17 @@ def require_integer(value, name: str):
     raise InputError(f"{name} must be an integer, got {value!r}")
 
 
-def require_real(value, name: str):
-    """value if it is a Python or numpy real number and not a bool; InputError naming `name` otherwise."""
-    if isinstance(value, Real) and not isinstance(value, bool):
-        return value
-    raise InputError(f"{name} must be a real number, got {value!r}")
+def require_real(value, name: str) -> float:
+    """value as a float: a finite Python or numpy real, not a bool; InputError naming `name` otherwise."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        raise InputError(f"{name} must be finite, got a number beyond the float range") from None
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be finite, got {number}")
+    return number
 
 
 class ParseError(CiteRankError):

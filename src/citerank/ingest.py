@@ -289,12 +289,9 @@ def _parse_line(line: str, index: dict[str, int]):
     NUL, or their list when an id itself holds a NUL."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc.msg}") from None
-    except ValueError as exc:  # e.g. an integer literal past the interpreter's digit limit
-        raise ValueError(f"invalid JSON: {exc}") from None
-    except RecursionError as exc:  # nested deeper than the recursion limit
-        raise ValueError(f"invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, too deep
+        # a JSONDecodeError's msg leaves out the position
+        raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     pub_id = obj.get("pub_id")

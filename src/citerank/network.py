@@ -99,11 +99,16 @@ class CitationNetwork:
         if not source.size == target.size == weight.size:
             raise InputError("source, target and weight must have one length")
         _check_edges(n, source, target, weight)
+        top = int(weight.max()) if weight.size else 0
+        if top > INT64_MAX // max(weight.size, 1):  # positive weights: no pair sums past the total
+            total = sum(weight.tolist())
+            if total > INT64_MAX:
+                raise InputError(f"total weight {total} is beyond the int64 range")
         keys = source.astype(np.int64)
         keys *= n
         keys += target
         del source, target
-        if weight.size and int(weight.max()) == 1:  # weights are positive: all are 1
+        if top == 1:  # weights are positive: all are 1
             keys.sort()  # in place, where np.unique would sort a copy
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
             size, keys = keys.size, keys[starts]  # the sorted keys go before the counts are made
@@ -115,23 +120,9 @@ class CitationNetwork:
             weight = weight[order]
             del order
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
-            if int(weight.max()) > INT64_MAX // weight.size:
-                # a sum may pass int64: add in Python ints first
-                exact = np.add.reduceat(weight.astype(object), starts)
-                over = np.flatnonzero(exact > INT64_MAX)
-                if over.size:
-                    i, j = divmod(int(keys[starts[over[0]]]), n)
-                    raise InputError(
-                        f"edge ({i}, {j}) from {ids[i]!r} to {ids[j]!r} has total weight "
-                        f"{exact[over[0]]}, beyond the int64 range"
-                    )
             if starts.size < keys.size:  # some pairs repeat; when none do, two gathers are saved
                 keys, weight = keys[starts], np.add.reduceat(weight, starts)
             del starts
-        if weight.size and int(weight.max()) > INT64_MAX // weight.size:  # the total may pass int64
-            total = sum(weight.tolist())
-            if total > INT64_MAX:
-                raise InputError(f"total weight {total} is beyond the int64 range")
         target = keys % n
         keys //= n  # keys is a new array: it becomes the source column
         weight = weight.astype(np.int64, copy=False)

@@ -59,7 +59,7 @@ class PageRankConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dangling_policy", DanglingPolicy(self.dangling_policy))
         for name in ("damping", "tolerance"):  # as floats, so no Fraction reaches numpy; checked as stored
-            object.__setattr__(self, name, float(require_real(getattr(self, name), name)))
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
         if not 0.0 <= self.damping < 1.0:
             raise InputError(f"damping must be in [0, 1), got {self.damping}")
         if not self.tolerance > 0.0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -295,19 +295,11 @@ class ComparisonReport:
     partial: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = self.displacement
-        return {
-            "pearson": {"r": self.pearson_r, "p": self.pearson_p},
-            "spearman": {"rho": self.spearman_rho, "p": self.spearman_p},
-            "kendall_w": self.kendall_w,
-            "partial": {
-                name: {"r": r, "p": p} for name, (r, p) in sorted(self.partial.items())
-            },
-            "displacement": {
-                "n": d.n, "mean": d.mean, "std": d.std,
-                "p50": d.p50, "p75": d.p75, "p90": d.p90,
-            },
-        }
+        d = asdict(self)  # kendall_w and displacement pass through as they are
+        d["pearson"] = {"r": d.pop("pearson_r"), "p": d.pop("pearson_p")}
+        d["spearman"] = {"rho": d.pop("spearman_rho"), "p": d.pop("spearman_p")}
+        d["partial"] = {name: {"r": r, "p": p} for name, (r, p) in d["partial"].items()}
+        return d
 
 
 def compare_columns(a, b, controls: Mapping[str, Sequence[float]] | None = None) -> ComparisonReport:

@@ -10,14 +10,13 @@ PageRank are expected to disagree.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericError, require_integer, require_real
-from .network import CitationNetwork
+from .network import CitationNetwork, index_position
 
 __all__ = ["CartelSpec", "SynthConfig", "SynthResult", "generate_traced"]
 
@@ -48,14 +47,13 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if require_integer(self.n_nodes, "n_nodes") < 1:
             raise InputError("n_nodes must be positive")
-        if not math.isfinite(require_real(self.mean_out_citations, "mean_out_citations")):
-            raise InputError("mean_out_citations must be finite")
+        index_position(self.n_nodes - 1, "nodes")  # before the generator sizes arrays by it
+        for name in ("mean_out_citations", "attachment_exponent"):  # as floats, like PageRankConfig
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
         if not self.mean_out_citations > 0:
             raise InputError("mean_out_citations must be positive")
         if self.mean_out_citations > _POISSON_LAM_MAX:
             raise InputError(f"mean_out_citations must be at most {_POISSON_LAM_MAX:.6g}")
-        if not math.isfinite(require_real(self.attachment_exponent, "attachment_exponent")):
-            raise InputError("attachment_exponent must be finite")
         if self.attachment_exponent < 0:
             raise InputError("attachment_exponent must be non-negative")
         if not isinstance(self.cartel, CartelSpec | None):

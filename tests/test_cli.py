@@ -335,7 +335,7 @@ def test_pagerank_bad_edge_list_exits_one(tmp_path, capsys):
     [
         (["a,b,9223372036854775808"], "edges.csv:2: weight 9223372036854775808 is beyond the int64 range"),
         (["a,b,4611686018427387904", "a,b,4611686018427387904"],
-         "edge (0, 1) from 'a' to 'b' has total weight 9223372036854775808, beyond the int64 range"),
+         "total weight 9223372036854775808 is beyond the int64 range"),
     ],
 )
 def test_pagerank_weights_beyond_int64_exit_one(tmp_path, capsys, rows, message):
@@ -833,6 +833,7 @@ def test_user_errors_print_one_line_and_exit_one(tmp_path, capsys):
          "PageRank did not converge in 2 iterations (last delta 4.817e-01); raise --max-iter or --tol"),
         (["pagerank", edges, "--damping", "x", "--out", out],
          "argument --damping: invalid float value: 'x'"),
+        (["pagerank", edges, "--tol", "inf", "--out", out], "tolerance must be finite, got inf"),
         (["pagerank"], "the following arguments are required: network, --out"),
     ]:
         assert main([str(arg) for arg in argv]) == 1
@@ -921,6 +922,25 @@ def test_full_pipeline_byte_determinism(tmp_path):
             assert a == b
         else:
             assert one[rel] == two[rel], rel
+
+
+def test_each_manifest_lists_every_file_its_command_wrote(tmp_path, score_table):
+    records = tmp_path / "records.jsonl"
+    records.write_text(RECORDS.read_text() + "not json\n")  # so build writes parse_issues.csv
+    table, out = score_table[0], tmp_path / "out"
+    runs = {
+        "net": ["build", records, "--subject", "TEL", "--threshold", "3"],
+        "pr": ["pagerank", out / "net" / "edges.csv", "--nodes", out / "net" / "nodes.csv"],
+        "cmp": ["compare", table, "--col-a", "arwu_score", "--col-b", "pagerank_score", "--control", "citations"],
+        "pca-corr": ["pca", "--corr", CORR, "--retain", "2"],
+        "pca-table": ["pca", "--table", table, "--retain", "2"],
+        "synth": ["synth", "--nodes", "50", "--seed", "7", "--cartel-size", "5", "--cartel-boost", "20"],
+    }
+    for name, argv in runs.items():
+        assert main([*map(str, argv), "--out", str(out / name)]) == 0
+        listed = json.loads((out / name / "manifest.json").read_text())["outputs"]
+        assert sorted([*listed, "manifest.json"]) == sorted(p.name for p in (out / name).iterdir()), name
+    assert "parse_issues.csv" in json.loads((out / "net" / "manifest.json").read_text())["outputs"]
 
 
 def test_every_csv_written_parses_to_rows_of_header_width(tmp_path):

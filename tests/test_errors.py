@@ -1,5 +1,8 @@
 """The integer and real rules: an integer or real argument is a Python or numpy number, never a bool."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -69,3 +72,29 @@ def test_numpy_reals_are_reals():
     cfg = SynthConfig(10, mean_out_citations=np.int64(3), attachment_exponent=np.float16(1.5))
     assert (cfg.mean_out_citations, cfg.attachment_exponent) == (3, 1.5)
     assert pca(np.eye(2), 1, variables=np.array(["a", "b"])).variables == ("a", "b")
+
+
+# calls that pass a real beyond the float range, a NaN or an infinity, each with the name its message gives
+NOT_FINITE = {
+    "damping-huge-int": (lambda: PageRankConfig(damping=10**400), "damping"),
+    "tolerance-huge-int": (lambda: PageRankConfig(tolerance=10**400), "tolerance"),
+    "mean_out_citations-huge-int": (lambda: SynthConfig(10, mean_out_citations=10**400), "mean_out_citations"),
+    "attachment_exponent-huge-int": (lambda: SynthConfig(10, attachment_exponent=10**400), "attachment_exponent"),
+    "damping-nan": (lambda: PageRankConfig(damping=math.nan), "damping"),
+    "tolerance-inf": (lambda: PageRankConfig(tolerance=math.inf), "tolerance"),
+    "attachment_exponent-minus-inf": (lambda: SynthConfig(10, attachment_exponent=-math.inf), "attachment_exponent"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_FINITE)
+def test_real_argument_that_is_not_finite_raises_input_error_naming_it(case):
+    call, name = NOT_FINITE[case]
+    with pytest.raises(InputError, match=f"^{name} must be finite, got "):
+        call()
+
+
+def test_reals_are_stored_as_floats():
+    cfg = PageRankConfig(damping=Fraction(1, 2), tolerance=np.int64(1))
+    assert (type(cfg.damping), type(cfg.tolerance)) == (float, float)
+    cfg = SynthConfig(10, mean_out_citations=3, attachment_exponent=np.float32(0.5))
+    assert (type(cfg.mean_out_citations), type(cfg.attachment_exponent)) == (float, float)

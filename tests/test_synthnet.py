@@ -5,7 +5,7 @@ import pytest
 
 from citerank import CartelSpec, SynthConfig, generate_traced, in_degree
 from citerank import synthnet
-from citerank.errors import NumericError
+from citerank.errors import InputError, NumericError
 
 from conftest import build_from_dict, weight_dict
 
@@ -215,6 +215,13 @@ def test_cartel_leaves_base_network_untouched():
     for (i, j), w in weight_dict(plain).items():
         expected = w + (7 if i in members and j in members else 0)
         assert weight_dict(traced.network)[(i, j)] == expected
+
+
+def test_config_rejects_more_nodes_than_32_bit_positions_hold():
+    # only the config is made: the generator would size its arrays by n_nodes
+    with pytest.raises(InputError, match="more than 2147483647 nodes"):
+        SynthConfig(2**31)
+    assert SynthConfig(2**31 - 1).n_nodes == 2**31 - 1
 
 
 def test_config_validation():
