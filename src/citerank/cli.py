@@ -262,18 +262,18 @@ def _cmd_pca(args) -> int:
     from . import rankstats
     if args.corr is not None and args.columns is not None:
         raise InputError("--columns needs --table; --corr reads every variable of the matrix")
-    manifest = RunManifest(command="pca", out=args.out, flags={"retain": args.retain})
     if args.corr is not None:
         matrix, names = fileio.read_correlation_csv(_require_file(args.corr))
-        manifest.inputs["corr"] = args.corr
+        inputs, flags = {"corr": args.corr}, {}
     else:
         table = fileio.read_score_table(_require_file(args.table))
         names = [n.strip() for n in args.columns.split(",")] if args.columns else table.column_names
         matrix, names = rankstats.correlation_matrix(dict(zip(names, _columns(table, names))))
-        fileio.write_correlation_csv(matrix, names, manifest.path("derived_correlations.csv"))
-        manifest.inputs["table"] = args.table
-        manifest.flags["columns"] = list(names)
+        inputs, flags = {"table": args.table}, {"columns": list(names)}
     result = rankstats.pca(matrix, retain=args.retain, variables=names)
+    manifest = RunManifest(command="pca", out=args.out, inputs=inputs, flags={"retain": args.retain, **flags})
+    if args.table is not None:
+        fileio.write_correlation_csv(matrix, names, manifest.path("derived_correlations.csv"))
 
     rotated = [fileio.fmt(share) for share in result.rotated_variance_share[: result.retained]]
     fileio.write_csv(

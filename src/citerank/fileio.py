@@ -4,10 +4,15 @@ All numeric output is printed with 15 significant digits and rows are
 emitted in a fixed order, so identical inputs always produce byte-identical
 files.
 
-The CSV readers read rows in blocks. read_edge_list keeps one str per
-distinct id or weight spelling, shared by every row that has it, and returns
-the weights as int64. read_score_table and read_correlation_csv keep each
-cell as read, as their cells seldom repeat, until the columns become float64.
+The CSV readers read rows in blocks. read_edge_list reads an edge list
+with no quote, which is what write_edge_list writes unless an id needs
+quoting, as bytes through _edgescan: it finds the separators of each block
+with numpy and decodes each distinct id and weight spelling once. Any other
+file, and any file it cannot read that way, it reads through csv from the
+start, which gives every error its file line. Either way it keeps one str
+per distinct id, shared by every row that has it, and returns the weights
+as int64. read_score_table and read_correlation_csv keep each cell as read,
+as their cells seldom repeat, until the columns become float64.
 """
 
 from __future__ import annotations
@@ -163,7 +168,29 @@ def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
 
 
 def read_edge_list(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a `source,target,weight` CSV into source ids, target ids and int64 weights."""
+    r"""Read a `source,target,weight` CSV into source ids, target ids and int64 weights.
+
+    Ids are stripped, and equal ids share one str. A file that holds no
+    quote, as write_edge_list writes when no id needs quoting, is read in
+    bulk by _edgescan.scan_edge_list: its bytes are scanned in blocks, and
+    each distinct id or weight spelling is decoded and parsed once. The
+    file is read again from the start through csv, which reports each
+    error with its file line, where a block has a quote, a NUL, a \r not
+    followed by \n or bytes that are not UTF-8; a line that is neither
+    blank nor three fields; a field longer than csv.field_size_limit(); an
+    empty id or a weight that int() rejects or that is outside
+    1..2**63 - 1; or where the header, after an optional BOM, is not
+    exactly `source,target,weight`. Blank lines and \r\n line ends stay
+    in bulk.
+    """
+    from . import _edgescan  # loads here, so commands that read no edge list do not compile it
+
+    columns = _edgescan.scan_edge_list(path)
+    return _read_edge_csv(path) if columns is None else columns
+
+
+def _read_edge_csv(path) -> tuple[list[str], list[str], np.ndarray]:
+    """read_edge_list through csv: any file, and every error with its file line."""
     header, columns, unread = _read_rows(path, share=True)
     if header != ["source", "target", "weight"]:
         raise TableFormatError(f"{path}: expected header 'source,target,weight'")

@@ -687,6 +687,21 @@ def test_pca_empty_corr_path_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: input file not found")
 
 
+@pytest.mark.parametrize(
+    "source, content",
+    [("--corr", None), ("--table", "institution,a,b\ni1,1.0,\ni2,2.0,3.0\n")],
+    ids=["missing-corr", "bad-table"],
+)
+def test_pca_input_error_creates_no_out_directory(tmp_path, capsys, source, content):
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content)
+    rc = main(["pca", source, str(path), "--retain", "2", "--out", str(tmp_path / "fx" / "pca")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "fx").exists()
+
+
 def test_pca_invalid_matrix_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("variable,a,b\na,1.0,0.5\nb,0.4,1.0\n")
@@ -1159,6 +1174,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
         argv += ["--out", str(tmp_path / "out")]
     loaded = _loaded_modules(tmp_path, "-m", "citerank.cli", *argv)
     assert loaded & {"citerank.ingest", "citerank.rankstats", "citerank.synthnet"} == loads
+
+
+def test_only_a_command_that_reads_an_edge_list_loads_the_edge_scan(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,weight\na,b,1\nb,c,2\nc,a,1\n")
+    pagerank = ["-m", "citerank.cli", "pagerank", edges, "--out", tmp_path / "pr"]
+    synth = ["-m", "citerank.cli", "synth", "--nodes", "20", "--seed", "1", "--out", tmp_path / "syn"]
+    assert "citerank._edgescan" in _loaded_modules(tmp_path, *map(str, pagerank))
+    assert "citerank._edgescan" not in _loaded_modules(tmp_path, *map(str, synth))
 
 
 def test_cli_import_loads_only_stdlib_numpy_and_citerank(tmp_path):

@@ -1,15 +1,21 @@
+import codecs
 import csv
 import io
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from citerank import CitationNetwork, ScoreTable
-from citerank.errors import CiteRankError, TableFormatError
+from citerank import _edgescan
+from citerank._edgescan import _BLOCK_BYTES, scan_edge_list
+from citerank.errors import CiteRankError, EncodingError, TableFormatError
 from citerank.network import INT64_MAX
 from citerank.fileio import (
     _BLOCK_ROWS,
+    _read_edge_csv,
     fmt,
     read_correlation_csv,
     read_edge_list,
@@ -170,6 +176,73 @@ def test_edge_list_columns_match_row_wise_reference(tmp_path):
     check()
 
 
+def _raw_edge_list_outcome(read, path):
+    """The network a reader makes of a file, or its error; one str per distinct id is checked."""
+    try:
+        sources, targets, weights = read(path)
+    except (TableFormatError, EncodingError) as exc:
+        return str(exc)
+    except UnicodeDecodeError as exc:  # the row-wise reference does not wrap it
+        return str(EncodingError(path, exc))
+    if read is not _reference_columns:
+        assert len({id(x) for x in sources + targets}) == len(set(sources + targets))
+    try:
+        return CitationNetwork.from_edges(sources, targets, weights)
+    except CiteRankError as exc:  # a total weight beyond int64
+        return str(exc)
+
+
+def _reference_columns(path):
+    return columns(reference_read_edge_list(path))
+
+
+def test_edge_list_bytes_match_row_wise_reference(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ids = [b"a", b"b", b" a", b"a ", b"\ta", b"univ 00001", b"Z\xc3\xbcrich", b"\xe6\x9d\xb1\xe4\xba\xac",
+           b"x" * 17, b"y" * 30 + b"\xc3\xa9", b"\xc2\xa0a"]
+    weights = [b"1", b"1", b"2", b"12", b"07", b"+3", b"1_0", b" 4 ", b"\xd9\xa3", b"10000000000000000"]
+    endings = [b"\n", b"\r\n"]
+    headers = [b"source,target,weight", codecs.BOM_UTF8 + b"source,target,weight"]
+    odd_ids = [b"", b" ", b'"a,b"', b'"q"', b'say "hi"', b"a\x00b", b"\xff", b"\xc3", b"a\rb", b"\xc2\x85"]
+    odd_weights = [b"0", b"-1", b"9223372036854775807", b"9223372036854775808", b"x", b"", b"1.0", b"\xff"]
+    odd_endings = [b"\r"]
+    odd_headers = [b" source , target,weight", b"source,target", b"src,dst,w"]
+    path = tmp_path / "edges.csv"
+
+    def rows(ids, weights, endings, odd_rows):
+        field = st.sampled_from(ids)
+        row = st.one_of(
+            st.tuples(field, field, st.sampled_from(weights)).map(b",".join),
+            st.tuples(field, field, st.sampled_from(weights)).map(b",".join),
+            st.sampled_from([b"", *odd_rows]),
+        )
+        return st.lists(st.tuples(row, st.sampled_from(endings)), max_size=12)
+
+    clean = st.tuples(st.sampled_from(headers), rows(ids, weights, endings, []))
+    odd = st.tuples(
+        st.sampled_from(headers + odd_headers),
+        # whitespace-only lines are rows of one field; then rows of two and four fields
+        rows(ids + odd_ids, weights + odd_weights, endings + odd_endings, [b" ", b"\t", b"a,b", b"a,b,1,2"]),
+    )
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @hypothesis.given(st.one_of(clean, odd), st.booleans())
+    def check(drawn, last_ending):
+        head, lines = drawn
+        data = head + b"\n" + b"".join(row + ending for row, ending in lines)
+        if lines and not last_ending:
+            data = data[: -len(lines[-1][1])]
+        path.write_bytes(data)
+        outcome = _raw_edge_list_outcome(read_edge_list, path)
+        assert outcome == _raw_edge_list_outcome(_read_edge_csv, path)
+        # the reference keeps a BOM, and Python 3.10's csv rejects NUL with an error of its own
+        if not data.startswith(codecs.BOM_UTF8) and (b"\0" not in data or sys.version_info >= (3, 11)):
+            assert outcome == _raw_edge_list_outcome(_reference_columns, path)
+
+    check()
+
+
 GOOD_ROWS = 'source,target,weight\n"a\nb",c,1\n\n'  # a quoted two-line field, then a blank line
 
 
@@ -235,13 +308,19 @@ SEAM_DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("row", [_BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS * 3 // 2])
+# rows of 16 bytes with their \n after a 21-byte header: row k starts at byte 21 + 16 * k,
+# so the row that starts 16 bytes before the end of the bulk scan's first block is this one
+BYTE_SEAM_ROW = _BLOCK_BYTES // 16
+
+
+@pytest.mark.parametrize("row", [_BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS * 3 // 2, BYTE_SEAM_ROW])
 @pytest.mark.parametrize("defect, message", SEAM_DEFECTS)
 def test_edge_list_errors_at_block_seams(tmp_path, row, defect, message):
-    # the last row of the first block, the first of the second, and one inside it
+    # the last row of the first block of rows, the first of the second, one inside it,
+    # and one that the end of the first block of bytes cuts in two
     path = tmp_path / "edges.csv"
-    rows = [b"i%d,i%d,1" % (k, k + 1) for k in range(2 * _BLOCK_ROWS)]
-    rows[row - 1] = defect
+    rows = [b"i%05d,i%05d,1" % (k, k + 1) for k in range(BYTE_SEAM_ROW + _BLOCK_ROWS)]
+    rows[row - 1] = b" " * 14 + defect if row == BYTE_SEAM_ROW else defect  # the padding is stripped
     rows[-1] = b"y,z,zero"  # a later bad value is not the one reported
     path.write_bytes(b"\n".join([b"source,target,weight", *rows]) + b"\n")
     with pytest.raises(CiteRankError) as exc:
@@ -266,14 +345,75 @@ def test_edge_list_keeps_one_str_per_distinct_id(tmp_path):
     assert (sources[5], targets[5], weights[5]) == (ids[7], ids[8], 12)
 
 
-def test_edge_list_round_trip_at_benchmark_scale(tmp_path):
+def _edge_list_across_byte_seam(rows: list[bytes], at: int, ending: bytes) -> bytes:
+    """An edge list whose rows[0] holds the end of the bulk scan's first block `at` bytes in."""
+    header = b"source,target,weight" + ending
+    gap = _BLOCK_BYTES - at  # bytes of the rows before rows[0]
+    filler = []
+    while gap > 64:
+        filler.append(b"u%05d,u%05d,1" % (len(filler) % 97, len(filler) * 7 % 97) + ending)
+        gap -= len(filler[-1])
+    last = b"u00000,u00001,1" + ending
+    filler.append(b"u00000,u00001," + b"0" * (gap - len(last)) + b"1" + ending)  # 0...01 pads it to fit
+    return header + b"".join(filler) + b"".join(row + ending for row in rows)
+
+
+@pytest.mark.parametrize(
+    "rows, at, ending",
+    [
+        pytest.param([b"left,right,3"], 6, b"\n", id="row"),
+        pytest.param([b"left,right,3"], len(b"left,right,3\r"), b"\r\n", id="crlf"),
+        pytest.param(["Zürich,東京大学,2".encode(), "東京大学,Zürich,5".encode()], 2, b"\n", id="utf8-2"),
+        pytest.param(["Zürich,東京大学,2".encode()], 9, b"\r\n", id="utf8-3"),
+        pytest.param([b"left,right,3", b'"u00003",q,4'], 6, b"\n", id="quote-in-last-block"),
+    ],
+)
+def test_edge_list_keeps_one_str_per_distinct_id_across_byte_blocks(tmp_path, rows, at, ending):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(_edge_list_across_byte_seam(rows, at, ending))
+    assert (scan_edge_list(path) is None) == any(b'"' in row for row in rows)
+    sources, targets, weights = read_edge_list(path)
+    assert len({id(x) for x in sources + targets}) == len(set(sources + targets))
+    assert list(zip(sources, targets, weights.tolist())) == reference_read_edge_list(path)
+
+
+LONG_A, LONG_B = b"aaaaaaaa" + b"A" + b"zzzzzzzz", b"aaaaaaaa" + b"B" + b"zzzzzzzz"  # equal but in the middle
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param([b"a,b,1", b"b,a,1"], id="in-a-block"),
+        pytest.param([b"a,a,1"] * 13 + [b"b,b,1"] * 13, id="across-blocks"),  # 13 rows of 6 bytes a block
+        pytest.param([LONG_A + b"," + LONG_A + b",1", LONG_B + b"," + LONG_B + b",1"], id="long-in-a-block"),
+        pytest.param([LONG_A + b"," + LONG_A + b",1"] * 2 + [LONG_B + b"," + LONG_B + b",1"] * 2,
+                     id="long-across-blocks"),  # 2 rows of 38 bytes a block
+    ],
+)
+def test_edge_list_fields_whose_hashes_collide_are_read_through_csv(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(_edgescan, "_MIX", np.int64(0))  # every field hashes to 0
+    monkeypatch.setattr(_edgescan, "_BLOCK_BYTES", 80)
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"\n".join([b"source,target,weight", *rows]) + b"\n")
+    assert scan_edge_list(path) is None
+    sources, targets, weights = read_edge_list(path)
+    assert list(zip(sources, targets, weights.tolist())) == reference_read_edge_list(path)
+
+
+def _benchmark_scale_network(ids: list[str]) -> CitationNetwork:
     rng = np.random.default_rng(10**5)
-    awkward = ["a,b", 'say "hi"', "a\nb", "Zürich", "東京"]
-    ids = sorted([f"inst {k:05d}" for k in range(3000)] + awkward)
     m = 100_000
-    net = CitationNetwork.build(
+    return CitationNetwork.build(
         ids, rng.integers(0, len(ids), m), rng.integers(0, len(ids), m), rng.integers(1, 50, m)
     )
+
+
+PLAIN_IDS = [f"inst {k:05d}" for k in range(3000)]
+AWKWARD_IDS = sorted(PLAIN_IDS + ["a,b", 'say "hi"', "a\nb", "Zürich", "東京"])
+
+
+def test_edge_list_round_trip_at_benchmark_scale(tmp_path):
+    net = _benchmark_scale_network(AWKWARD_IDS)
     path, ref_path = tmp_path / "edges.csv", tmp_path / "reference.csv"
     write_edge_list(net, path)
     reference_write_edge_list(net, ref_path)
@@ -281,6 +421,23 @@ def test_edge_list_round_trip_at_benchmark_scale(tmp_path):
     sources, targets, weights = read_edge_list(path)
     assert len(sources) == net.n_edges > 95_000
     assert CitationNetwork.from_edges(sources, targets, weights) == net
+
+
+@pytest.mark.parametrize("ids", [PLAIN_IDS, AWKWARD_IDS], ids=["bulk", "csv"])
+def test_edge_list_read_holds_a_bounded_number_of_blocks(tmp_path, ids):
+    path = tmp_path / "edges.csv"
+    write_edge_list(_benchmark_scale_network(ids), path)
+    assert (scan_edge_list(path) is None) == (ids is AWKWARD_IDS)
+    tracemalloc.start()
+    try:
+        sources, targets, weights = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sys.getsizeof(sources) + sys.getsizeof(targets) + weights.nbytes
+    returned += sum(map(sys.getsizeof, set(sources + targets)))
+    assert len(sources) > 95_000 and path.stat().st_size > 16 * _BLOCK_BYTES
+    assert peak <= returned + 16 * _BLOCK_BYTES
 
 
 def test_score_table_round_trip(tmp_path):
