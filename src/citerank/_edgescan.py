@@ -3,10 +3,10 @@
 scan_edge_list reads an edge list that csv would split into plain fields,
 such as write_edge_list writes when no id needs quoting. It reads the bytes
 in blocks of _BLOCK_BYTES, finds each block's separators with numpy, and
-decodes and parses each distinct id and weight spelling once per file. For
-any other file it returns None, and read_edge_list reads that file through
-csv. The module loads on the first read_edge_list call, so the commands
-that read no edge list do not compile it.
+decodes and parses each distinct id and weight spelling once per file,
+each id into the code of its stripped form. For any other file it returns
+None, and read_edge_list reads it through csv. The module loads on the
+first read_edge_list call, so commands that read no edge list do not compile it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .network import INT64_MAX
+from .network import INT64_MAX, numbering
 
 # bytes per block: 256 KiB read a 107k-edge list a tenth faster, but its
 # arrays raised the peak RSS of `pagerank` by 2 MB more, above that of the
@@ -120,7 +120,7 @@ class _Spellings:
         self.long: dict[int, bytes] = {}  # the bytes of each one longer than 16, by hash
 
     def block(self, data: bytes, words: np.ndarray, start: np.ndarray, length: np.ndarray):
-        """The value of each field of a block, or None where one cannot be read in bulk.
+        """The row of each field of a block, or None where one cannot be read in bulk.
 
         `words` holds the 8 bytes of `data` from each offset, little-endian.
         """
@@ -141,7 +141,7 @@ class _Spellings:
             if not all(np.array_equal(x, y) for (_, x), (_, y) in zip(ours, theirs)):
                 return None
         at = self._find(data, key[one], exact.take(one, axis=1), start[one])
-        return None if at is None else self.value[at][group]
+        return None if at is None else at[group]
 
     def _find(self, data: bytes, key: np.ndarray, exact: np.ndarray, start: np.ndarray):
         """The row of each of a block's distinct fields, added where it is new, or None."""
@@ -168,7 +168,7 @@ class _Spellings:
 
 
 def _edge_block(data: bytes, limit: int, ids: _Spellings, spellings: _Spellings):
-    """The ids of a block's rows, sources then targets, and their weights; or None.
+    """The id rows of a block's lines, sources then targets, and their weight rows; or None.
 
     The block's arrays are freed on return, before the next block is read.
     """
@@ -177,23 +177,23 @@ def _edge_block(data: bytes, limit: int, ids: _Spellings, spellings: _Spellings)
         return None
     start, length = fields
     if not length.size:
-        return np.empty(0, object), np.empty(0, np.int64)
+        return np.empty(0, np.intp), np.empty(0, np.intp)
     words = np.ndarray((len(data) + 1,), "<i8", data + bytes(8), 0, (1,))  # 8 bytes from each offset
     both = ids.block(data, words, start[:2].ravel(), length[:2].ravel())
     weight = spellings.block(data, words, start[2], length[2])
     return None if both is None or weight is None else (both, weight)
 
 
-def scan_edge_list(path) -> tuple[list[str], list[str], np.ndarray] | None:
-    """fileio.read_edge_list's columns of an edge list, read in bulk, or None where csv must read it."""
+def scan_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
+    """fileio.read_edge_list's ids and columns of an edge list, read in bulk, or None where csv must read it."""
     limit = csv.field_size_limit()
-    shared: dict[str, str] = {}
+    code = numbering("nodes")
 
-    def id_of(raw: bytes) -> str:
+    def id_of(raw: bytes) -> int:
         text = raw.decode().strip()
         if not text:
             raise ValueError("empty institution id")
-        return shared.setdefault(text, text)
+        return code[text]
 
     def weight_of(raw: bytes) -> int:
         value = int(raw.decode().strip())
@@ -201,10 +201,8 @@ def scan_edge_list(path) -> tuple[list[str], list[str], np.ndarray] | None:
             raise ValueError(f"weight {value} is out of range")
         return value
 
-    ids, spellings = _Spellings(id_of, object), _Spellings(weight_of, np.int64)
-    sources: list[str] = []
-    targets: list[str] = []
-    weights = np.empty(0, np.int64)  # grown in place, so no block's weights are held twice
+    ids, spellings = _Spellings(id_of, np.intc), _Spellings(weight_of, np.int64)
+    sources, targets, weights = np.empty(0, np.intc), np.empty(0, np.intc), np.empty(0, np.int64)
     with open(path, "rb") as handle:
         header = handle.readline(64).removeprefix(codecs.BOM_UTF8)
         if header not in (b"source,target,weight\n", b"source,target,weight\r\n"):
@@ -213,9 +211,8 @@ def scan_edge_list(path) -> tuple[list[str], list[str], np.ndarray] | None:
             block = _edge_block(data, limit, ids, spellings)
             if block is None:
                 return None
-            both, weight = block
-            sources += both[: weight.size].tolist()
-            targets += both[weight.size :].tolist()
-            weights.resize(weights.size + weight.size, refcheck=False)
-            weights[weights.size - weight.size :] = weight
-    return sources, targets, weights
+            both, weight = ids.value[block[0]], spellings.value[block[1]]
+            for column, more in (sources, both[: weight.size]), (targets, both[weight.size :]), (weights, weight):
+                column.resize(column.size + more.size, refcheck=False)  # in place: no block is held twice
+                column[column.size - more.size :] = more
+    return list(code), sources, targets, weights

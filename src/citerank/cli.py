@@ -117,6 +117,22 @@ def _cmd_build(args) -> int:
             parsed = ingest.parse_records(handle, strict=args.strict)
     except UnicodeDecodeError as exc:
         raise EncodingError(records_path, exc) from exc
+    if not parsed.records:
+        raise InputError("no records parsed from input")
+
+    rows = ingest.filter_records(parsed.records, profile)
+    if not rows.any():
+        raise InputError(
+            f"no records match subject {profile.name!r} "
+            f"(category {profile.category!r}, years {profile.year_range})"
+        )
+    retained = ingest.apply_threshold(parsed.records, rows, profile)
+    if not retained:
+        raise InputError(
+            f"no institution reaches the publication threshold {profile.publication_threshold}"
+        )
+    net = ingest.build_network(parsed.records, rows, retained, keep_self_loops=args.self_loops)
+    report = network.degree_report(net)
 
     manifest = RunManifest(
         command="build",
@@ -134,23 +150,6 @@ def _cmd_build(args) -> int:
         issues = ([issue.line, issue.message] for issue in parsed.issues)
         fileio.write_csv(manifest.path("parse_issues.csv"), ["line", "message"], issues)
         print(f"skipped {len(parsed.issues)} malformed line(s); see parse_issues.csv")
-    if not parsed.records:
-        raise InputError("no records parsed from input")
-
-    rows = ingest.filter_records(parsed.records, profile)
-    if not rows.any():
-        raise InputError(
-            f"no records match subject {profile.name!r} "
-            f"(category {profile.category!r}, years {profile.year_range})"
-        )
-    retained = ingest.apply_threshold(parsed.records, rows, profile)
-    if not retained:
-        raise InputError(
-            f"no institution reaches the publication threshold {profile.publication_threshold}"
-        )
-    net = ingest.build_network(parsed.records, rows, retained, keep_self_loops=args.self_loops)
-
-    report = network.degree_report(net)
     fileio.write_edge_list(net, manifest.path("edges.csv"))
     fileio.write_nodes_csv(net, manifest.path("nodes.csv"), report.in_degree, report.degree_centrality)
     fileio.write_distribution_csv(report.centrality_distribution, manifest.path("centrality_distribution.csv"))
@@ -175,12 +174,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_pagerank(args) -> int:
-    sources, targets, weights = fileio.read_edge_list(_require_file(args.network))
+    ids, sources, targets, weights = fileio.read_edge_list(_require_file(args.network))
     nodes = fileio.read_score_table(_require_file(args.nodes)).institutions if args.nodes else ()
-    if not sources and not nodes:
+    if not ids and not nodes:
         raise EmptyNetworkError("edge list is empty")
-    net = network.CitationNetwork.from_edges(sources, targets, weights, extra_nodes=nodes)
-    del sources, targets, weights, nodes  # the network has its own copy; free these before ranking
+    net = network.CitationNetwork.from_edges(sources, targets, weights, extra_nodes=nodes, ids=ids)
+    del ids, sources, targets, weights, nodes  # the network has its own copy; free these before ranking
     cfg = PageRankConfig(
         damping=args.damping,
         tolerance=args.tol,

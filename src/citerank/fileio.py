@@ -9,16 +9,17 @@ with no quote, which is what write_edge_list writes unless an id needs
 quoting, as bytes through _edgescan: it finds the separators of each block
 with numpy and decodes each distinct id and weight spelling once. Any other
 file, and any file it cannot read that way, it reads through csv from the
-start, which gives every error its file line. Either way it keeps one str
-per distinct id, shared by every row that has it, and returns the weights
-as int64. read_score_table and read_correlation_csv keep each cell as read,
-as their cells seldom repeat, until the columns become float64.
+start, which gives every error its file line. Either way it returns each
+distinct id once, the id columns as int32 codes into them and the weights
+as int64. read_score_table and read_correlation_csv keep each cell as
+read, as their cells seldom repeat, until the columns become float64.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EncodingError, InputError, TableFormatError
-from .network import INT64_MAX, CitationNetwork
+from .network import INT64_MAX, CitationNetwork, numbering
 from .scoring import ScoreTable
 
 __all__ = [
@@ -77,7 +78,7 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="
         out.writerows(rows)
 
 
-def _read_rows(path, share: bool = False) -> tuple[list[str], list[list[str]], Exception | None]:
+def _read_rows(path, books: Sequence[dict] = ()) -> tuple[list[str], list, Exception | None]:
     """Read a CSV into its stripped header and one list of stripped fields per column.
 
     Blank rows are skipped; every other row must have as many fields as the
@@ -85,19 +86,16 @@ def _read_rows(path, share: bool = False) -> tuple[list[str], list[list[str]], E
     be read, and that row's error is returned, not raised: _check_rows
     reports a bad value on an earlier line first. Rows are split into the
     columns in blocks of _BLOCK_ROWS, so no per-row object outlives its
-    block; with share, equal fields of the file are kept as one str.
+    block; column k < len(books) holds, as C ints, the codes books[k] gives its fields.
     """
     unread = header = None
-    shared: dict[str, str] = {}
-    columns: list[list[str]] = []
     block: list[str] = []
 
     def flush():
         fields = list(map(str.strip, block))
-        if share:
-            fields = list(map(shared.setdefault, fields, fields))
         for k, column in enumerate(columns):
-            column += fields[k :: len(columns)]
+            part = fields[k :: len(columns)]
+            column.extend(map(books[k].__getitem__, part) if k < len(books) else part)
         block.clear()
 
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -105,16 +103,14 @@ def _read_rows(path, share: bool = False) -> tuple[list[str], list[list[str]], E
         try:
             header = [field.strip() for field in next(reader, [])]
             width = len(header)
-            columns += [[] for _ in header]
+            columns = [array("i") if k < len(books) else [] for k in range(width)]
             while unread is None:
                 line = reader.line_num
                 for row in islice(reader, _BLOCK_ROWS):
                     if len(row) == width:
                         block += row
                     elif row:
-                        unread = TableFormatError(
-                            f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-                        )
+                        unread = TableFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
                         break
                 flush()
                 if reader.line_num == line:  # the file is read to the end
@@ -129,7 +125,7 @@ def _read_rows(path, share: bool = False) -> tuple[list[str], list[list[str]], E
     return header, columns, unread
 
 
-def _check_rows(path, columns: list[list[str]], problem, unread: Exception | None) -> None:
+def _check_rows(path, columns: Sequence[Iterable[str]], problem, unread: Exception | None) -> None:
     """Raise the first error in file order, if there is one.
 
     That is a TableFormatError, with its file line, for the first row for
@@ -167,21 +163,21 @@ def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
     return None
 
 
-def read_edge_list(path) -> tuple[list[str], list[str], np.ndarray]:
-    r"""Read a `source,target,weight` CSV into source ids, target ids and int64 weights.
+def read_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    r"""Read a `source,target,weight` CSV into the ids, sources, targets and weights from_edges takes.
 
-    Ids are stripped, and equal ids share one str. A file that holds no
+    `ids` holds each distinct stripped id once, sources and targets are
+    int32 codes into it, and weights are int64. A file that holds no
     quote, as write_edge_list writes when no id needs quoting, is read in
-    bulk by _edgescan.scan_edge_list: its bytes are scanned in blocks, and
-    each distinct id or weight spelling is decoded and parsed once. The
-    file is read again from the start through csv, which reports each
-    error with its file line, where a block has a quote, a NUL, a \r not
-    followed by \n or bytes that are not UTF-8; a line that is neither
-    blank nor three fields; a field longer than csv.field_size_limit(); an
-    empty id or a weight that int() rejects or that is outside
-    1..2**63 - 1; or where the header, after an optional BOM, is not
-    exactly `source,target,weight`. Blank lines and \r\n line ends stay
-    in bulk.
+    bulk by _edgescan.scan_edge_list, which decodes and parses each
+    distinct id or weight spelling once. The file is read again through
+    csv, which reports each error with its file line, where a block has a
+    quote, a NUL, a \r not followed by \n or bytes that are not UTF-8; a
+    line that is neither blank nor three fields; a field longer than
+    csv.field_size_limit(); an empty id or a weight that int() rejects or
+    that is outside 1..2**63 - 1; or where the header, after an optional
+    BOM, is not exactly `source,target,weight`. Blank lines and \r\n line
+    ends stay in bulk.
     """
     from . import _edgescan  # loads here, so commands that read no edge list do not compile it
 
@@ -189,21 +185,22 @@ def read_edge_list(path) -> tuple[list[str], list[str], np.ndarray]:
     return _read_edge_csv(path) if columns is None else columns
 
 
-def _read_edge_csv(path) -> tuple[list[str], list[str], np.ndarray]:
+def _read_edge_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """read_edge_list through csv: any file, and every error with its file line."""
-    header, columns, unread = _read_rows(path, share=True)
+    ids, spellings = numbering("nodes"), numbering("weight spellings")
+    header, columns, unread = _read_rows(path, books=(ids, ids, spellings))
     if header != ["source", "target", "weight"]:
         raise TableFormatError(f"{path}: expected header 'source,target,weight'")
-    sources, targets, raw_weights = columns
+    sources, targets, codes = (np.frombuffer(column, np.intc) for column in columns)
     try:
-        value = {spelling: int(spelling) for spelling in set(raw_weights)}  # each spelling parsed once
-        weights = np.fromiter(map(value.__getitem__, raw_weights), np.int64, len(raw_weights))
-        valid = not (weights <= 0).any() and all(sources) and all(targets)
+        weights = np.array(list(map(int, spellings)), np.int64)[codes]  # each spelling parsed once
+        valid = not (weights <= 0).any() and "" not in ids
     except (ValueError, OverflowError):  # not an integer, or beyond int64
         valid = False
     if not valid or unread is not None:
-        _check_rows(path, columns, _edge_problem, unread)
-    return sources, targets, weights
+        keys = [list(ids), list(ids), list(spellings)]  # the field of each code, by column
+        _check_rows(path, [map(k.__getitem__, c) for k, c in zip(keys, columns)], _edge_problem, unread)
+    return list(ids), sources, targets, weights
 
 
 def _csv_fields(values: Iterable[str]) -> list[str]:

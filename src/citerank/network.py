@@ -7,12 +7,13 @@ edge, and whether same-institution citations count is decided where records
 become a network, in ingest.build_network. There is one way to make a
 network: the constructor takes index triples in any order, 32-bit ones
 without an int64 copy, sums repeated pairs and sorts them, and build() and
-from_edges() go through it. The degree statistics here treat the network as
-unweighted: in-degree counts distinct citing institutions, not citations.
+from_edges(), on ids or on codes into a list of ids, go through it. Degree
+statistics treat the network as unweighted: in-degree counts distinct citers.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,6 +32,13 @@ def index_position(k: int, what: str) -> int:
     if k >= INDEX_LIMIT:
         raise InputError(f"more than {INDEX_LIMIT} {what}: positions are 32-bit")
     return k
+
+
+def numbering(what: str) -> defaultdict:
+    """A dict whose d[key] is key's code: its position among the keys, a new key taking the next one."""
+    codes: defaultdict = defaultdict()
+    codes.default_factory = lambda: index_position(len(codes), what)
+    return codes
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -138,26 +146,25 @@ class CitationNetwork:
 
     @classmethod
     def from_edges(
-        cls,
-        sources: Sequence[str],
-        targets: Sequence[str],
-        weights,
-        extra_nodes: Iterable[str] = (),
+        cls, sources, targets, weights, extra_nodes: Iterable[str] = (), ids: Sequence[str] | None = None
     ) -> "CitationNetwork":
         """Build from edge columns: sources[k] cites targets[k] weights[k] times.
 
-        Repeated (source, target) pairs accumulate, and self-loops stay as
-        written. Node order is the sorted union of all endpoint ids and
-        extra_nodes, so the result does not depend on edge order.
+        The columns hold ids or, given `ids`, codes into it. Repeated pairs
+        add up, and self-loops stay as written. Nodes are the sorted union of
+        the endpoint ids, `ids` and extra_nodes, whatever the edge order.
         """
-        ordered = tuple(sorted(set(sources).union(targets, extra_nodes)))
+        if ids is None:
+            code = numbering("nodes")
+            sources, targets = (np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in (sources, targets))
+            ids = list(code)
+        sources, targets = _integers(sources, "source codes"), _integers(targets, "target codes")
+        if any(c.size and not 0 <= c.min() <= c.max() < len(ids) for c in (sources, targets)):
+            raise InputError(f"edge codes must be in range({len(ids)})")
+        ordered = sorted(set(ids).union(extra_nodes))
         index = dict(zip(ordered, range(len(ordered))))
-        return cls.build(
-            ordered,
-            np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=len(sources)),
-            np.fromiter(map(index.__getitem__, targets), dtype=np.int64, count=len(targets)),
-            weights,
-        )
+        rank = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+        return cls.build(ordered, rank[sources], rank[targets], weights)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CitationNetwork):

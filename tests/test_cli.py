@@ -147,6 +147,32 @@ def test_build_strict_stops_at_a_lone_surrogate(tmp_path, surrogate_records, cap
     assert not out.exists()
 
 
+PHYSICS = {"pub_id": "p1", "year": 2012, "category": "Physics", "affiliations": ["A"], "references": []}
+LONE_TEL = {"pub_id": "t1", "year": 2012, "category": "Telecommunications", "affiliations": ["A"],
+            "references": [{"pub_id": "t1", "affiliations": ["A"]}]}
+
+
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        ([json.dumps(PHYSICS)], [], "no records match subject 'TEL'"),
+        (None, ["--threshold", "99"], "no institution reaches the publication threshold 99"),
+        (["not json", "{}", "[1]"], [], "no records parsed from input"),
+        ([json.dumps(LONE_TEL)], ["--threshold", "1"], "degree centrality needs at least 2 nodes, got 1"),
+    ],
+    ids=["no-match", "threshold-99", "all-lines-malformed", "one-institution"],
+)
+def test_build_input_error_creates_no_out_directory(tmp_path, capsys, lines, flags, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(RECORDS.read_text() if lines is None else "\n".join(lines) + "\n")
+    rc = main(["build", str(path), "--subject", "TEL", *flags, "--out", str(tmp_path / "fx" / "net")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""  # no "see parse_issues.csv" for a file never written
+    assert not (tmp_path / "fx").exists()
+
+
 def test_build_unknown_subject_fails(tmp_path, capsys):
     rc = main(["build", str(RECORDS), "--subject", "NOPE", "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from citerank import CitationNetwork, ScoreTable
-from citerank import _edgescan
+from citerank import _edgescan, network
 from citerank._edgescan import _BLOCK_BYTES, scan_edge_list
-from citerank.errors import CiteRankError, EncodingError, TableFormatError
+from citerank.errors import CiteRankError, EncodingError, InputError, TableFormatError
 from citerank.network import INT64_MAX
 from citerank.fileio import (
     _BLOCK_ROWS,
@@ -41,11 +41,29 @@ def test_fmt_15_significant_digits():
     assert fmt(np.float64(2.5)) == "2.5"
 
 
+def _coded_rows(ids, sources, targets, weights) -> list[tuple[str, str, int]]:
+    """read_edge_list's columns as (source, target, weight) triples.
+
+    Checks its promise first: the ids are stripped and distinct, so fields
+    that strip alike share a code, and every code is in range(len(ids)).
+    """
+    assert len(set(ids)) == len(ids) and all(x == x.strip() for x in ids)
+    for column in (sources, targets):
+        assert column.dtype == np.int32 and column.size == weights.size
+        assert ((0 <= column) & (column < len(ids))).all()
+    return [(ids[i], ids[j], w) for i, j, w in zip(sources.tolist(), targets.tolist(), weights.tolist())]
+
+
+def _read_network(path, extra_nodes=()) -> CitationNetwork:
+    ids, sources, targets, weights = read_edge_list(path)
+    return CitationNetwork.from_edges(sources, targets, weights, extra_nodes, ids=ids)
+
+
 def test_edge_list_round_trip(tmp_path):
     net = CitationNetwork.from_edges(["b", "a", "a"], ["a", "b", "c"], [2, 7, 1])
     path = tmp_path / "edges.csv"
     write_edge_list(net, path)
-    back = CitationNetwork.from_edges(*read_edge_list(path))
+    back = _read_network(path)
     assert back.node_ids == net.node_ids
     assert weight_dict(back) == weight_dict(net)
 
@@ -150,9 +168,6 @@ def test_edge_list_columns_match_row_wise_reference(tmp_path):
     ids = st.lists(st.one_of(awkward, plain), min_size=1, max_size=8, unique=True)
     write_path, ref_path = tmp_path / "edges.csv", tmp_path / "reference.csv"
 
-    def read_columns(path):
-        return CitationNetwork.from_edges(*read_edge_list(path))
-
     def read_rows(path):
         return reference_from_edges(reference_read_edge_list(path))
 
@@ -170,24 +185,26 @@ def test_edge_list_columns_match_row_wise_reference(tmp_path):
         write_edge_list(net, write_path)
         reference_write_edge_list(net, ref_path)
         assert write_path.read_bytes() == ref_path.read_bytes()
-        outcome = _edge_list_outcome(read_columns, write_path)
+        outcome = _edge_list_outcome(_read_network, write_path)
         assert outcome == _edge_list_outcome(read_rows, write_path)
 
     check()
 
 
 def _raw_edge_list_outcome(read, path):
-    """The network a reader makes of a file, or its error; one str per distinct id is checked."""
+    """The network a reader makes of a file, or its error; coded columns are checked by _coded_rows."""
     try:
-        sources, targets, weights = read(path)
+        read_columns = read(path)
     except (TableFormatError, EncodingError) as exc:
         return str(exc)
     except UnicodeDecodeError as exc:  # the row-wise reference does not wrap it
         return str(EncodingError(path, exc))
-    if read is not _reference_columns:
-        assert len({id(x) for x in sources + targets}) == len(set(sources + targets))
     try:
-        return CitationNetwork.from_edges(sources, targets, weights)
+        if read is _reference_columns:
+            return CitationNetwork.from_edges(*read_columns)
+        _coded_rows(*read_columns)
+        ids, sources, targets, weights = read_columns
+        return CitationNetwork.from_edges(sources, targets, weights, ids=ids)
     except CiteRankError as exc:  # a total weight beyond int64
         return str(exc)
 
@@ -337,12 +354,14 @@ def test_edge_list_keeps_one_str_per_distinct_id(tmp_path):
     rng = np.random.default_rng(4)
     ids = [f"inst {k:04d}" for k in range(300)]
     rows = [f"{ids[i]},{ids[j]},{w + 1}" for i, j, w in rng.integers(0, 300, (3 * _BLOCK_ROWS, 3))]
-    rows[5] = f" {ids[7]} ,{ids[8]},12"  # padding is stripped before ids are shared
+    rows[5] = f" {ids[7]} ,{ids[8]},12"  # padding is stripped before ids are coded
+    rows[6] = f"{ids[7]},{ids[8]}  ,3"
     path = tmp_path / "edges.csv"
     path.write_text("\n".join(["source,target,weight", *rows]) + "\n")
-    sources, targets, weights = read_edge_list(path)
-    assert len({id(x) for x in sources + targets}) == len(set(sources + targets))
-    assert (sources[5], targets[5], weights[5]) == (ids[7], ids[8], 12)
+    for read in (read_edge_list, _read_edge_csv):
+        ids_read, sources, targets, weights = read(path)
+        assert _coded_rows(ids_read, sources, targets, weights)[5:7] == [(ids[7], ids[8], 12), (ids[7], ids[8], 3)]
+        assert sources[5] == sources[6] and targets[5] == targets[6]
 
 
 def _edge_list_across_byte_seam(rows: list[bytes], at: int, ending: bytes) -> bytes:
@@ -372,9 +391,7 @@ def test_edge_list_keeps_one_str_per_distinct_id_across_byte_blocks(tmp_path, ro
     path = tmp_path / "edges.csv"
     path.write_bytes(_edge_list_across_byte_seam(rows, at, ending))
     assert (scan_edge_list(path) is None) == any(b'"' in row for row in rows)
-    sources, targets, weights = read_edge_list(path)
-    assert len({id(x) for x in sources + targets}) == len(set(sources + targets))
-    assert list(zip(sources, targets, weights.tolist())) == reference_read_edge_list(path)
+    assert _coded_rows(*read_edge_list(path)) == reference_read_edge_list(path)
 
 
 LONG_A, LONG_B = b"aaaaaaaa" + b"A" + b"zzzzzzzz", b"aaaaaaaa" + b"B" + b"zzzzzzzz"  # equal but in the middle
@@ -396,8 +413,7 @@ def test_edge_list_fields_whose_hashes_collide_are_read_through_csv(tmp_path, mo
     path = tmp_path / "edges.csv"
     path.write_bytes(b"\n".join([b"source,target,weight", *rows]) + b"\n")
     assert scan_edge_list(path) is None
-    sources, targets, weights = read_edge_list(path)
-    assert list(zip(sources, targets, weights.tolist())) == reference_read_edge_list(path)
+    assert _coded_rows(*read_edge_list(path)) == reference_read_edge_list(path)
 
 
 def _benchmark_scale_network(ids: list[str]) -> CitationNetwork:
@@ -418,9 +434,40 @@ def test_edge_list_round_trip_at_benchmark_scale(tmp_path):
     write_edge_list(net, path)
     reference_write_edge_list(net, ref_path)
     assert path.read_bytes() == ref_path.read_bytes()
-    sources, targets, weights = read_edge_list(path)
+    ids, sources, targets, weights = read_edge_list(path)
     assert len(sources) == net.n_edges > 95_000
-    assert CitationNetwork.from_edges(sources, targets, weights) == net
+    assert CitationNetwork.from_edges(sources, targets, weights, ids=ids) == net
+
+
+def test_edge_list_matches_row_wise_reference_at_benchmark_size(tmp_path):
+    # 10^5 rows over 1,200 ids, each also written padded; read in bulk, then,
+    # with one id quoted, through csv
+    rng = np.random.default_rng(26)
+    ids = [f"inst {k:04d}" for k in range(1200)]
+    spellings = ids + [f" {x}" for x in ids[::2]] + [f"{x}  " for x in ids[1::2]]
+    src, dst = rng.integers(0, len(spellings), (2, 10**5)).tolist()
+    rows = [f"{spellings[i]},{spellings[j]},{w}" for i, j, w in zip(src, dst, rng.integers(1, 50, 10**5).tolist())]
+    extra = ["zz in no edge", ids[5], "aa in no edge", "zz in no edge", ids[0]]  # two endpoints; one id twice
+    path = tmp_path / "edges.csv"
+    for quoted in (False, True):
+        if quoted:
+            rows[7] = f'"{ids[3]}",{ids[4]},2'
+        path.write_text("\n".join(["source,target,weight", *rows]) + "\n")
+        assert (scan_edge_list(path) is None) == quoted
+        expected = reference_from_edges(reference_read_edge_list(path), extra)
+        assert expected.n_nodes == 1202 and expected.n_edges > 95_000
+        assert _read_network(path, extra) == expected
+
+
+@pytest.mark.parametrize("quote", [b"", b'"'], ids=["bulk", "csv"])
+def test_edge_list_past_the_index_limit_is_an_input_error(tmp_path, monkeypatch, quote):
+    monkeypatch.setattr(network, "INDEX_LIMIT", 3)  # codes are 32-bit positions
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"source,target,weight\na,b,1\nc,%sd%s,1\n" % (quote, quote))
+    with pytest.raises(InputError, match="more than 3 nodes: positions are 32-bit"):
+        read_edge_list(path)
+    path.write_bytes(b"source,target,weight\na,b,1\nc,%sb%s,1\n" % (quote, quote))
+    assert _coded_rows(*read_edge_list(path)) == [("a", "b", 1), ("c", "b", 1)]
 
 
 @pytest.mark.parametrize("ids", [PLAIN_IDS, AWKWARD_IDS], ids=["bulk", "csv"])
@@ -430,12 +477,12 @@ def test_edge_list_read_holds_a_bounded_number_of_blocks(tmp_path, ids):
     assert (scan_edge_list(path) is None) == (ids is AWKWARD_IDS)
     tracemalloc.start()
     try:
-        sources, targets, weights = read_edge_list(path)
+        ids_read, sources, targets, weights = read_edge_list(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sys.getsizeof(sources) + sys.getsizeof(targets) + weights.nbytes
-    returned += sum(map(sys.getsizeof, set(sources + targets)))
+    returned = sources.nbytes + targets.nbytes + weights.nbytes
+    returned += sys.getsizeof(ids_read) + sum(map(sys.getsizeof, ids_read))
     assert len(sources) > 95_000 and path.stat().st_size > 16 * _BLOCK_BYTES
     assert peak <= returned + 16 * _BLOCK_BYTES
 

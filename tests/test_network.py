@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,50 @@ def test_constructor_and_build_sum_and_sort_like_a_dict(max_weight):
 
 
 HALF = 2**62
+def test_from_edges_coded_form_matches_id_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    id_lists = st.lists(st.text(st.sampled_from("ab c"), max_size=3), min_size=1, max_size=6, unique=True)
+    dtypes = st.sampled_from([np.int32, np.int64, np.uint32, np.int8, None])  # None: Python lists
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(id_lists, st.data(), dtypes)
+    @hypothesis.example(["b", "a", "c"], None, np.int32)  # codes drawn below in this order
+    def check(ids, data, dtype):
+        code = st.integers(0, len(ids) - 1)
+        if data is None:  # codes 2, 0, 1 first seen: not the order of ids, with a repeat and a self-loop
+            pairs, extra = [(2, 0), (1, 2), (2, 0), (1, 1)], ["c", "zz", "zz"]
+        else:
+            pairs = data.draw(st.lists(st.tuples(code, code), max_size=20).map(lambda p: p + p[::3]))
+            extra = data.draw(st.lists(st.one_of(st.sampled_from(ids), st.text("abz", max_size=2)), max_size=4))
+        weights = [k % 4 + 1 for k in range(len(pairs))]
+        sources, targets = [i for i, _ in pairs], [j for _, j in pairs]
+        if dtype is not None:
+            sources, targets = np.array(sources, dtype), np.array(targets, dtype)
+        coded = CitationNetwork.from_edges(sources, targets, weights, extra, ids=ids)
+        named = CitationNetwork.from_edges([ids[i] for i, _ in pairs], [ids[j] for _, j in pairs], weights, extra)
+        edges = [(ids[i], ids[j], w) for (i, j), w in zip(pairs, weights)]
+        assert named == reference_from_edges(edges, extra)
+        assert coded == reference_from_edges(edges, [*extra, *ids])  # every id is a node, used or not
+        assert coded == CitationNetwork.from_edges(*columns(edges), [*extra, *ids])
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ([0, 3], "edge codes must be in range(3)"),
+        ([-1, 0], "edge codes must be in range(3)"),
+        ([0.0, 1.0], "codes must be integers, got float64"),
+    ],
+)
+def test_from_edges_rejects_codes_outside_the_ids(codes, message):
+    for sources, targets in ((codes, [1, 1]), ([1, 1], codes)):
+        with pytest.raises(InputError, match=re.escape(message)):
+            CitationNetwork.from_edges(sources, targets, [1, 1], ids=["a", "b", "c"])
+
+
 BAD_INPUTS = [
     (("a", "a"), [], [], [], "node identifiers must be unique"),
     (("a", "b"), [0], [1], [0], "edge (0, 1) has non-positive or non-integer weight 0"),
