@@ -2,22 +2,25 @@
 
 scan_edge_list reads an edge list that csv would split into plain fields,
 such as write_edge_list writes when no id needs quoting. It reads the bytes
-in blocks of _BLOCK_BYTES, finds each block's separators with numpy, and
-decodes and parses each distinct id and weight spelling once per file,
-each id into the code of its stripped form. For any other file it returns
-None, and read_edge_list reads it through csv. The module loads on the
-first read_edge_list call, so commands that read no edge list do not compile it.
+in blocks of _BLOCK_BYTES and finds each block's separators with numpy. One
+hash of each field's bytes groups a block's equal fields, which are checked
+byte for byte; the first field of each group is looked up by its bytes in a
+table that decodes and parses each distinct id and weight spelling once per
+file, each id into the code of its stripped form. For any other file it
+returns None, and read_edge_list reads it through csv. The module loads on
+the first read_edge_list call, so commands that read no edge list do not
+compile it.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-from itertools import repeat
 
 import numpy as np
 
-from .network import INT64_MAX, numbering
+from .fileio import _edge_weight
+from .network import numbering
 
 # bytes per block: 256 KiB read a 107k-edge list a tenth faster, but its
 # arrays raised the peak RSS of `pagerank` by 2 MB more, above that of the
@@ -30,7 +33,10 @@ _MIX = np.int64(0x5851F42D4C957F2D)  # odd, so multiplying by it loses no bits
 
 
 def _line_blocks(handle):
-    r"""The rest of a binary file in blocks that end at a line end; the last line gains its \n."""
+    r"""The rest of a binary file in blocks that end at a line end, the last line gaining its \n.
+
+    None, and no more, once a block's bytes pass without a \n: csv must read such a line.
+    """
     data = b""
     while more := handle.read(_BLOCK_BYTES):
         data += more
@@ -38,6 +44,9 @@ def _line_blocks(handle):
         if cut:
             block, data, more = data[:cut], data[cut:], None  # hold one block while it is read
             yield block
+        elif len(data) > _BLOCK_BYTES:
+            yield None
+            return
     if data:
         yield data + b"\n"
 
@@ -103,24 +112,28 @@ def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index[head], group
 
 
-class _Spellings:
-    """The distinct byte strings of an edge-list column, each parsed once per file.
+class _Spellings(dict):
+    """The value of each distinct byte string of an edge-list column, parsed once per file.
 
-    Fields are grouped and looked up by a hash of their 8-byte words, then
-    checked byte for byte: through their length and their first and last 8
-    bytes, which hold all of a field of up to 16, and through the words
-    between, or the bytes kept in `long`, for a longer one.
+    Keyed by the bytes themselves, so two spellings never share an entry.
+    block() looks up one field of each group of a block's equal fields: the
+    fields are grouped by a hash of their 8-byte words and checked byte for
+    byte against their group's first, through their length and their first
+    and last 8 bytes, which hold all of a field of up to 16, and through the
+    words between for a longer one.
     """
 
     def __init__(self, parse, dtype):
+        super().__init__()
         self.parse = parse  # bytes -> value; raises ValueError where csv must decide
-        self.row: dict[int, int] = {}  # the row of each hash below
-        self.exact = np.empty((3, 0), np.int64)  # the length, first and last 8 bytes of each
-        self.value = np.empty(0, dtype)
-        self.long: dict[int, bytes] = {}  # the bytes of each one longer than 16, by hash
+        self.dtype = dtype
+
+    def __missing__(self, raw: bytes):
+        value = self[raw] = self.parse(raw)
+        return value
 
     def block(self, data: bytes, words: np.ndarray, start: np.ndarray, length: np.ndarray):
-        """The row of each field of a block, or None where one cannot be read in bulk.
+        """The value of each field of a block, or None where one cannot be read in bulk.
 
         `words` holds the 8 bytes of `data` from each offset, little-endian.
         """
@@ -140,48 +153,13 @@ class _Spellings:
             ours, theirs = _middle_words(words, start, length), _middle_words(words, start[peer], length)
             if not all(np.array_equal(x, y) for (_, x), (_, y) in zip(ours, theirs)):
                 return None
-        at = self._find(data, key[one], exact.take(one, axis=1), start[one])
-        return None if at is None else at[group]
-
-    def _find(self, data: bytes, key: np.ndarray, exact: np.ndarray, start: np.ndarray):
-        """The row of each of a block's distinct fields, added where it is new, or None."""
-        keys = key.tolist()
-        at = np.fromiter(map(self.row.get, keys, repeat(-1)), np.intp, len(keys))
-        new = at < 0
-        if new.any():
-            raws = [data[s : s + n] for s, n in zip(start[new].tolist(), exact[0, new].tolist())]
-            try:
-                values = np.array([self.parse(raw) for raw in raws], self.value.dtype)
-            except ValueError:  # UnicodeDecodeError is one
-                return None
-            at[new] = np.arange(self.value.size, self.value.size + values.size)
-            self.row.update(zip(key[new].tolist(), at[new].tolist()))
-            self.long.update((k, raw) for k, raw in zip(key[new].tolist(), raws) if len(raw) > 16)
-            self.exact = np.concatenate((self.exact, exact[:, new]), axis=1)
-            self.value = np.concatenate((self.value, values))
-        if not np.array_equal(self.exact.take(at, axis=1), exact):
+        first = start[one]
+        raws = map(data.__getitem__, map(slice, first.tolist(), (first + length[one]).tolist()))
+        try:
+            values = np.fromiter(map(self.__getitem__, raws), self.dtype, one.size)
+        except ValueError:  # UnicodeDecodeError is one
             return None
-        for i in np.flatnonzero(exact[0] > 16).tolist():
-            if data[start[i] : start[i] + exact[0, i]] != self.long[keys[i]]:
-                return None
-        return at
-
-
-def _edge_block(data: bytes, limit: int, ids: _Spellings, spellings: _Spellings):
-    """The id rows of a block's lines, sources then targets, and their weight rows; or None.
-
-    The block's arrays are freed on return, before the next block is read.
-    """
-    fields = _edge_fields(data, limit)
-    if fields is None:
-        return None
-    start, length = fields
-    if not length.size:
-        return np.empty(0, np.intp), np.empty(0, np.intp)
-    words = np.ndarray((len(data) + 1,), "<i8", data + bytes(8), 0, (1,))  # 8 bytes from each offset
-    both = ids.block(data, words, start[:2].ravel(), length[:2].ravel())
-    weight = spellings.block(data, words, start[2], length[2])
-    return None if both is None or weight is None else (both, weight)
+        return values[group]
 
 
 def scan_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
@@ -195,23 +173,25 @@ def scan_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
             raise ValueError("empty institution id")
         return code[text]
 
-    def weight_of(raw: bytes) -> int:
-        value = int(raw.decode().strip())
-        if not 0 < value <= INT64_MAX:
-            raise ValueError(f"weight {value} is out of range")
-        return value
-
-    ids, spellings = _Spellings(id_of, np.intc), _Spellings(weight_of, np.int64)
+    ids = _Spellings(id_of, np.intc)
+    spellings = _Spellings(lambda raw: _edge_weight(raw.decode().strip()), np.int64)
     sources, targets, weights = np.empty(0, np.intc), np.empty(0, np.intc), np.empty(0, np.int64)
     with open(path, "rb") as handle:
         header = handle.readline(64).removeprefix(codecs.BOM_UTF8)
         if header not in (b"source,target,weight\n", b"source,target,weight\r\n"):
             return None
         for data in _line_blocks(handle):
-            block = _edge_block(data, limit, ids, spellings)
-            if block is None:
+            fields = None if data is None else _edge_fields(data, limit)
+            if fields is None:
                 return None
-            both, weight = ids.value[block[0]], spellings.value[block[1]]
+            start, length = fields
+            if not length.size:
+                continue
+            words = np.ndarray((len(data) + 1,), "<i8", data + bytes(8), 0, (1,))  # 8 bytes from each offset
+            both = ids.block(data, words, start[:2].ravel(), length[:2].ravel())
+            weight = spellings.block(data, words, start[2], length[2])
+            if both is None or weight is None:
+                return None
             for column, more in (sources, both[: weight.size]), (targets, both[weight.size :]), (weights, weight):
                 column.resize(column.size + more.size, refcheck=False)  # in place: no block is held twice
                 column[column.size - more.size :] = more

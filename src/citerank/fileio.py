@@ -149,15 +149,24 @@ def _check_rows(path, columns: Sequence[Iterable[str]], problem, unread: Excepti
 # ---------------------------------------------------------------------------
 
 
+def _edge_weight(text: str) -> int:
+    """The weight a stripped field spells: an integer in 1..2**63 - 1, or ValueError saying why not."""
+    try:
+        w = int(text)
+    except ValueError:
+        raise ValueError(f"weight {text!r} is not an integer") from None
+    if w <= 0:
+        raise ValueError(f"weight must be positive, got {w}")
+    if w > INT64_MAX:
+        raise ValueError(f"weight {w} is beyond the int64 range")
+    return w
+
+
 def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
     try:
-        w = int(raw_w)
-    except ValueError:
-        return f"weight {raw_w!r} is not an integer"
-    if w <= 0:
-        return f"weight must be positive, got {w}"
-    if w > INT64_MAX:
-        return f"weight {w} is beyond the int64 range"
+        _edge_weight(raw_w)
+    except ValueError as exc:
+        return str(exc)
     if not src or not dst:
         return "empty institution id"
     return None
@@ -173,11 +182,11 @@ def read_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
     distinct id or weight spelling once. The file is read again through
     csv, which reports each error with its file line, where a block has a
     quote, a NUL, a \r not followed by \n or bytes that are not UTF-8; a
-    line that is neither blank nor three fields; a field longer than
-    csv.field_size_limit(); an empty id or a weight that int() rejects or
-    that is outside 1..2**63 - 1; or where the header, after an optional
-    BOM, is not exactly `source,target,weight`. Blank lines and \r\n line
-    ends stay in bulk.
+    line that is neither blank nor three fields, or that is longer than a
+    block of 128 KiB; a field longer than csv.field_size_limit(); an empty
+    id or a weight that _edge_weight rejects; or where the header, after an
+    optional BOM, is not exactly `source,target,weight`. Blank lines and
+    \r\n line ends stay in bulk.
     """
     from . import _edgescan  # loads here, so commands that read no edge list do not compile it
 
@@ -193,9 +202,9 @@ def _read_edge_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
         raise TableFormatError(f"{path}: expected header 'source,target,weight'")
     sources, targets, codes = (np.frombuffer(column, np.intc) for column in columns)
     try:
-        weights = np.array(list(map(int, spellings)), np.int64)[codes]  # each spelling parsed once
-        valid = not (weights <= 0).any() and "" not in ids
-    except (ValueError, OverflowError):  # not an integer, or beyond int64
+        weights = np.array(list(map(_edge_weight, spellings)), np.int64)[codes]  # each spelling parsed once
+        valid = "" not in ids
+    except ValueError:
         valid = False
     if not valid or unread is not None:
         keys = [list(ids), list(ids), list(spellings)]  # the field of each code, by column
