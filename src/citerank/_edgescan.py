@@ -6,9 +6,10 @@ in blocks of _BLOCK_BYTES and finds each block's separators with numpy. One
 hash of each field's bytes groups a block's equal fields, which are checked
 byte for byte; the first field of each group is looked up by its bytes in a
 table that decodes and parses each distinct id and weight spelling once per
-file, each id into the code of its stripped form. For any other file it
-returns None, and read_edge_list reads it through csv. The module loads on
-the first read_edge_list call, so commands that read no edge list do not
+file, each id into the code of its stripped form. Those keys are cut from
+the block in C, by one numpy gather and one bytes.split. For any other file
+it returns None, and read_edge_list reads it through csv. The module loads
+on the first read_edge_list call, so commands that read no edge list do not
 compile it.
 """
 
@@ -136,6 +137,11 @@ class _Spellings(dict):
         """The value of each field of a block, or None where one cannot be read in bulk.
 
         `words` holds the 8 bytes of `data` from each offset, little-endian.
+        The group heads' keys come from one gather of each head's bytes and
+        the separator after it, each separator made a comma, split by one
+        bytes.split(b","). The gather's index is 32-bit, as a block is far
+        below 2 GiB: a 64-bit one raised the traced peak of reading a
+        99k-row list by 0.13 MB.
         """
         exact = np.stack((length, words[start], words[start + np.maximum(length - 8, 0)]))
         exact[1:] &= _LOW_BYTES[np.minimum(length, 8)]
@@ -153,8 +159,13 @@ class _Spellings(dict):
             ours, theirs = _middle_words(words, start, length), _middle_words(words, start[peer], length)
             if not all(np.array_equal(x, y) for (_, x), (_, y) in zip(ours, theirs)):
                 return None
-        first = start[one]
-        raws = map(data.__getitem__, map(slice, first.tolist(), (first + length[one]).tolist()))
+        size = length[one] + 1  # each head and the separator after it, in one gather
+        end = np.cumsum(size, dtype=np.int32)
+        index = np.repeat((start[one] - end + size).astype(np.int32), size)
+        index += np.arange(index.size, dtype=np.int32)
+        heads = np.frombuffer(data, np.uint8)[index]
+        heads[end - 1] = ord(",")  # a field holds no comma
+        raws = heads.tobytes().split(b",")
         try:
             values = np.fromiter(map(self.__getitem__, raws), self.dtype, one.size)
         except ValueError:  # UnicodeDecodeError is one

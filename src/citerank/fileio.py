@@ -222,25 +222,24 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
 def write_edge_list(net: CitationNetwork, path) -> None:
     """`source,target,weight` rows sorted by (source id, target id).
 
-    Each id is quoted once, and rows are written in blocks, which keeps the
-    file byte-identical to write_csv's without a full-length list of rows.
+    Each id is quoted once, each block spells each of its distinct weights
+    once, and rows are written in blocks, which keeps the file
+    byte-identical to write_csv's without a full-length list of rows.
     """
     n = net.n_nodes
     rank = np.empty(n, dtype=np.int64)
     rank[sorted(range(n), key=net.node_ids.__getitem__)] = np.arange(n)
     order = np.argsort(rank[net.source] * n + rank[net.target])  # keys are distinct
-    ids = np.array(_csv_fields(net.node_ids), dtype=object)
+    ids = np.array([field + "," for field in _csv_fields(net.node_ids)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("source,target,weight\r\n")
         for start in range(0, order.size, _BLOCK_ROWS):
             block = order[start : start + _BLOCK_ROWS]
+            weights = net.weight[block].tolist()
+            spelling = {w: str(w) for w in set(weights)}
             rows = map(
-                ",".join,
-                zip(
-                    ids[net.source[block]].tolist(),
-                    ids[net.target[block]].tolist(),
-                    map(str, net.weight[block].tolist()),
-                ),
+                "".join,
+                zip(ids[net.source[block]].tolist(), ids[net.target[block]].tolist(), map(spelling.get, weights)),
             )
             handle.write("\r\n".join(rows))
             handle.write("\r\n")
@@ -259,12 +258,11 @@ def write_distribution_csv(pairs: Sequence[tuple[float, float]], path) -> None:
 
 
 def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None:
-    """Ranked scores, descending; ties broken lexicographically by id."""
-    order = np.lexsort((np.array(node_ids, dtype=object), -np.asarray(scores))).tolist()
-    rows = (
-        [rank, node_ids[k], fmt(scores[k]), fmt(normalized[k])]
-        for rank, k in enumerate(order, start=1)
-    )
+    """Ranked scores, descending; ties broken lexicographically by id. Scores are written as fmt writes floats."""
+    scores, normalized = np.asarray(scores, dtype=np.float64), np.asarray(normalized, dtype=np.float64)
+    order = np.lexsort((np.array(node_ids, dtype=object), -scores))
+    columns = ([format(x, ".15g") for x in column[order].tolist()] for column in (scores, normalized))
+    rows = zip(range(1, order.size + 1), map(node_ids.__getitem__, order.tolist()), *columns)
     write_csv(path, ["rank", "institution", "pagerank_score", "normalized_score"], rows)
 
 

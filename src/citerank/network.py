@@ -83,11 +83,12 @@ class CitationNetwork:
     Built from (source[k], target[k], weight[k]) index triples in any order:
     repeated pairs add up, and the network keeps each pair once, sorted by
     (source, target) index, with its positive integer citation count;
-    zero-weight pairs are simply absent. Signed index arrays are read as
-    given, the rest as int64. The three int64 arrays stored are new and
-    read-only: the inputs are read, never kept or written. Instances are
-    safe to share between threads; every operation in this module is a
-    pure function.
+    zero-weight pairs are simply absent. Triples that already ascend by
+    (source, target), as those read from a list write_edge_list wrote, are
+    not sorted again. Signed index arrays are read as given, the rest as
+    int64. The three int64 arrays stored are new and read-only: the inputs
+    are read, never kept or written. Instances are safe to share between
+    threads; every operation in this module is a pure function.
     """
 
     node_ids: tuple[str, ...]
@@ -123,10 +124,13 @@ class CitationNetwork:
             weight = np.diff(np.append(starts, size))
             del starts
         elif weight.size:
-            order = np.argsort(keys)  # integer sums do not depend on the order of repeats
-            keys = keys[order]  # gather one at a time, so the unsorted keys go first
-            weight = weight[order]
-            del order
+            if (keys[1:] < keys[:-1]).any():
+                order = np.argsort(keys)  # integer sums do not depend on the order of repeats
+                keys = keys[order]  # gather one at a time, so the unsorted keys go first
+                weight = weight[order]
+                del order
+            else:  # ascending, as from write_edge_list: no sort, but the input is not kept
+                weight = weight.copy()
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
             if starts.size < keys.size:  # some pairs repeat; when none do, two gathers are saved
                 keys, weight = keys[starts], np.add.reduceat(weight, starts)

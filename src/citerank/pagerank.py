@@ -15,6 +15,9 @@ arrays. np.bincount adds each bin's terms in input order, and a
 CitationNetwork's edges are sorted by (source, target), so every target's
 terms are summed in ascending source order: the order of a row of the CSR
 matrix T, which keeps the scores bit-identical to a CSR power iteration.
+np.bincount copies an index array it may not write, and a network's arrays
+are read-only, so the solve makes one writable copy of the target column
+for its loop rather than one per iteration.
 """
 
 from __future__ import annotations
@@ -113,11 +116,12 @@ def pagerank(net: CitationNetwork, cfg: PageRankConfig | None = None) -> PageRan
     teleport = (1.0 - d) / n
     uniform_policy = cfg.dangling_policy is DanglingPolicy.UNIFORM
 
+    target = net.target.astype(np.intp)  # writable, so np.bincount reads it in place
     pi = np.full(n, 1.0 / n)
     delta = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        flow = np.bincount(net.target, weights=share * pi[net.source], minlength=n)
+        flow = np.bincount(target, weights=share * pi[net.source], minlength=n)
         flow = flow.astype(np.float64, copy=False)  # int64 when there are no edges
         if uniform_policy:
             flow += pi[dangling].sum() / n

@@ -114,7 +114,7 @@ def test_network_shares_no_buffer_with_its_caller(make, weights):
     copies = [a.copy() for a in inputs]
     if make == "build":
         net = CitationNetwork.build(("a", "b", "c"), source[::-1], target[::-1], weight[::-1])
-    else:
+    else:  # ascending and repeat-free, as read from a list write_edge_list wrote: not sorted again, yet not kept
         net = CitationNetwork(("a", "b", "c"), source, target, weight)
     for arr in (net.source, net.target, net.weight):
         assert not arr.flags.writeable
@@ -122,6 +122,28 @@ def test_network_shares_no_buffer_with_its_caller(make, weights):
     assert all(a.flags.writeable and np.array_equal(a, c) for a, c in zip(inputs, copies))
     pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
     assert weight_dict(net) == dict(zip(pairs, weights))
+
+
+def test_sorted_and_shuffled_triples_build_equal_networks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    triple = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 3))
+    # five nodes make repeated pairs common, and t[::3] repeats whole triples; all-1 weights take the unit-weight path
+    triple_lists = st.lists(triple, max_size=30).map(lambda t: t + t[::3])
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200)
+    @hypothesis.given(triple_lists, st.data())
+    def check(triples, data):
+        ids = ("a", "b", "c", "d", "e")
+        shuffled = data.draw(st.permutations(triples))
+        net = CitationNetwork(ids, *(np.array(c, dtype=np.int64) for c in columns(shuffled)))
+        assert net == CitationNetwork(ids, *(np.array(c, dtype=np.int64) for c in columns(sorted(triples))))
+        expected: dict = {}
+        for i, j, w in triples:
+            expected[(i, j)] = expected.get((i, j), 0) + w
+        assert list(weight_dict(net).items()) == sorted(expected.items())
+
+    check()
 
 
 # the unit-weight path, and the general one, where pair (2, 0) sums 100 + 100

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,27 @@ def test_matches_csr_power_iteration_bit_for_bit(policy, make_net):
     expected, iterations = csr_power_iteration(net, cfg)
     assert res.iterations_used == iterations
     assert np.array_equal(res.scores, expected)
+
+
+def test_solver_loop_gives_bincount_a_writable_index(monkeypatch):
+    # np.bincount copies an index array it may not write, and a network's arrays are read-only;
+    # normalize_weights, called once, is left out of the count
+    net = synth_cartel_network()
+    solver = importlib.import_module("citerank.pagerank")
+    normalized = normalize_weights(net)
+    monkeypatch.setattr(solver, "normalize_weights", lambda _net: normalized)
+    writable = []
+    bincount = np.bincount
+
+    def recording_bincount(x, *args, **kwargs):
+        writable.append(x.flags.writeable)
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", recording_bincount)
+    res = pagerank(net)
+    monkeypatch.undo()
+    assert len(writable) == res.iterations_used and all(writable)
+    assert np.array_equal(res.scores, pagerank(net).scores)
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000])
