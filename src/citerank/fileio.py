@@ -104,17 +104,14 @@ def _read_rows(path, books: Sequence[dict] = ()) -> tuple[list[str], list, Excep
             header = [field.strip() for field in next(reader, [])]
             width = len(header)
             columns = [array("i") if k < len(books) else [] for k in range(width)]
-            while unread is None:
-                line = reader.line_num
-                for row in islice(reader, _BLOCK_ROWS):
-                    if len(row) == width:
-                        block += row
-                    elif row:
-                        unread = TableFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
-                        break
-                flush()
-                if reader.line_num == line:  # the file is read to the end
+            for k, row in enumerate(reader, 1):
+                if len(row) == width:
+                    block += row
+                elif row:
+                    unread = TableFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
                     break
+                if k % _BLOCK_ROWS == 0:
+                    flush()
         except csv.Error as exc:  # a field past csv.field_size_limit()
             unread = TableFormatError(f"{path}:{reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
@@ -352,12 +349,8 @@ def _round15(obj):
         return {k: _round15(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round15(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
     if isinstance(obj, (float, np.floating)):
         return float(format(float(obj), ".15g"))
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [_round15(v) for v in obj.tolist()]
     return obj

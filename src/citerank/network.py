@@ -117,24 +117,21 @@ class CitationNetwork:
         keys *= n
         keys += target
         del source, target
-        if top == 1:  # weights are positive: all are 1
+        unit = top == 1  # weights are positive: all are 1
+        if unit:
             keys.sort()  # in place, where np.unique would sort a copy
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
-            size, keys = keys.size, keys[starts]  # the sorted keys go before the counts are made
-            weight = np.diff(np.append(starts, size))
-            del starts
-        elif weight.size:
-            if (keys[1:] < keys[:-1]).any():
-                order = np.argsort(keys)  # integer sums do not depend on the order of repeats
-                keys = keys[order]  # gather one at a time, so the unsorted keys go first
-                weight = weight[order]
-                del order
-            else:  # ascending, as from write_edge_list: no sort, but the input is not kept
-                weight = weight.copy()
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
-            if starts.size < keys.size:  # some pairs repeat; when none do, two gathers are saved
-                keys, weight = keys[starts], np.add.reduceat(weight, starts)
-            del starts
+        elif (keys[1:] < keys[:-1]).any():
+            order = np.argsort(keys)  # integer sums do not depend on the order of repeats
+            keys = keys[order]  # gather one at a time, so the unsorted keys go first
+            weight = weight[order]
+            del order
+        else:  # ascending, as from write_edge_list: no sort, but the input is not kept
+            weight = weight.copy()
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])  # first of each run of a key
+        if unit or starts.size < keys.size:  # other weights: when no pair repeats, two gathers are saved
+            size, keys = keys.size, keys[starts]  # the sorted keys go before the sums are made
+            weight = np.diff(np.append(starts, size)) if unit else np.add.reduceat(weight, starts)
+        del starts
         target = keys % n
         keys //= n  # keys is a new array: it becomes the source column
         weight = weight.astype(np.int64, copy=False)

@@ -691,6 +691,15 @@ def test_pca_retain_larger_than_dimension_exits_one(tmp_path, capsys):
     assert "retain" in capsys.readouterr().err
 
 
+def test_pagerank_on_a_header_only_edge_list_creates_no_out_directory(tmp_path, capsys):
+    path = tmp_path / "edges.csv"
+    path.write_text("source,target,weight\r\n")
+    rc = main(["pagerank", str(path), "--out", str(tmp_path / "fx" / "pr")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: edge list is empty\n"
+    assert not (tmp_path / "fx").exists()
+
+
 def test_pca_names_a_constant_column(tmp_path, capsys):
     path = tmp_path / "table.csv"
     path.write_text("institution,a,flat,c\ni1,1.0,0.7,3.0\ni2,2.0,0.7,1.0\ni3,4.0,0.7,2.0\n")

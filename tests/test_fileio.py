@@ -537,6 +537,22 @@ def test_score_table_missing_value_forbidden(tmp_path):
         read_score_table(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("i1,1.0\ni2,2.0\ni1,3.0\n", "institution ids must be unique"),
+        ("i1,1.0\ni2,-0.5\n", "column 'a' must be finite and non-negative"),
+    ],
+    ids=["repeated-institution", "negative-value"],
+)
+def test_score_table_errors_name_the_file(tmp_path, rows, message):
+    path = tmp_path / "dup.csv"
+    path.write_text("institution,a\n" + rows)
+    with pytest.raises(TableFormatError) as exc:
+        read_score_table(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_score_table_duplicate_columns_rejected(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("institution,a,a\ni1,1.0,2.0\n")

@@ -104,14 +104,18 @@ def test_build_does_not_alias_caller_arrays():
     assert weight.flags.writeable
 
 
-@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [1, 2, 1, 3]])  # the unit-weight path and the general one
+@pytest.mark.parametrize(
+    "weights",  # the unit-weight path, the general one, and build_network's read-only broadcast unit column
+    [[1, 1, 1, 1], [1, 2, 1, 3], np.broadcast_to(np.int64(1), 4)],
+)
 @pytest.mark.parametrize("make", ["build", "constructor"])
 def test_network_shares_no_buffer_with_its_caller(make, weights):
     source = np.array([0, 0, 1, 2], dtype=np.int64)
     target = np.array([1, 2, 2, 0], dtype=np.int64)
-    weight = np.array(weights, dtype=np.int64)
+    weight = np.asarray(weights, dtype=np.int64)  # the broadcast column as given, a list as a new array
     inputs = [source, target, weight]
     copies = [a.copy() for a in inputs]
+    writeable = [a.flags.writeable for a in inputs]
     if make == "build":
         net = CitationNetwork.build(("a", "b", "c"), source[::-1], target[::-1], weight[::-1])
     else:  # ascending and repeat-free, as read from a list write_edge_list wrote: not sorted again, yet not kept
@@ -119,7 +123,7 @@ def test_network_shares_no_buffer_with_its_caller(make, weights):
     for arr in (net.source, net.target, net.weight):
         assert not arr.flags.writeable
         assert not any(np.shares_memory(arr, given) for given in inputs)
-    assert all(a.flags.writeable and np.array_equal(a, c) for a, c in zip(inputs, copies))
+    assert all(a.flags.writeable == w and np.array_equal(a, c) for a, c, w in zip(inputs, copies, writeable))
     pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
     assert weight_dict(net) == dict(zip(pairs, weights))
 
