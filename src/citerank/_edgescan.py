@@ -36,7 +36,8 @@ _MIX = np.int64(0x5851F42D4C957F2D)  # odd, so multiplying by it loses no bits
 def _line_blocks(handle):
     r"""The rest of a binary file in blocks that end at a line end, the last line gaining its \n.
 
-    None, and no more, once a block's bytes pass without a \n: csv must read such a line.
+    None once a block's bytes pass without a \n: csv must read such a line, so
+    scan_edge_list stops there and never resumes the generator.
     """
     data = b""
     while more := handle.read(_BLOCK_BYTES):
@@ -47,7 +48,6 @@ def _line_blocks(handle):
             yield block
         elif len(data) > _BLOCK_BYTES:
             yield None
-            return
     if data:
         yield data + b"\n"
 

@@ -4,15 +4,16 @@ All numeric output is printed with 15 significant digits and rows are
 emitted in a fixed order, so identical inputs always produce byte-identical
 files.
 
-The CSV readers read rows in blocks. read_edge_list reads an edge list
-with no quote, which is what write_edge_list writes unless an id needs
-quoting, as bytes through _edgescan: it finds the separators of each block
-with numpy and decodes each distinct id and weight spelling once. Any other
-file, and any file it cannot read that way, it reads through csv from the
-start, which gives every error its file line. Either way it returns each
-distinct id once, the id columns as int32 codes into them and the weights
-as int64. read_score_table and read_correlation_csv keep each cell as
-read, as their cells seldom repeat, until the columns become float64.
+The CSV readers read a file once, in blocks of rows, and check each block
+as it comes, so an error names the line of the first bad row in the file.
+read_edge_list reads an edge list with no quote, which is what
+write_edge_list writes unless an id needs quoting, as bytes through
+_edgescan: it finds the separators of each block with numpy and decodes
+each distinct id and weight spelling once. Any other file, and any file it
+cannot read that way, it reads through csv from the start. Either way it
+returns each distinct id once, the id columns as int32 codes into them and
+the weights as int64. read_score_table and read_correlation_csv turn each
+block's cells into float64 as they read it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from itertools import islice
+from contextlib import closing
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -78,67 +79,54 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], lineterminator="
         out.writerows(rows)
 
 
-def _read_rows(path, books: Sequence[dict] = ()) -> tuple[list[str], list, Exception | None]:
-    """Read a CSV into its stripped header and one list of stripped fields per column.
+def _read_rows(path):
+    """Yield a CSV's stripped header, then its rows in blocks of up to _BLOCK_ROWS.
 
-    Blank rows are skipped; every other row must have as many fields as the
-    header. Reading stops at the first row that has another width or cannot
-    be read, and that row's error is returned, not raised: _check_rows
-    reports a bad value on an earlier line first. Rows are split into the
-    columns in blocks of _BLOCK_ROWS, so no per-row object outlives its
-    block; column k < len(books) holds, as C ints, the codes books[k] gives its fields.
+    A block is the file line each row ends on, as csv counts lines, and its
+    stripped fields, one list per column. Blank rows are skipped; every
+    other row must have as many fields as the header. A row of another
+    width, a field past csv.field_size_limit() or bytes that are not UTF-8
+    raise once the rows before it were yielded, so a caller that checks
+    each block as it comes reports a bad value on an earlier line first.
     """
-    unread = header = None
-    block: list[str] = []
-
-    def flush():
-        fields = list(map(str.strip, block))
-        for k, column in enumerate(columns):
-            part = fields[k :: len(columns)]
-            column.extend(map(books[k].__getitem__, part) if k < len(books) else part)
-        block.clear()
-
+    lines, fields, error = [], [], None
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [field.strip() for field in next(reader, [])]
-            width = len(header)
-            columns = [array("i") if k < len(books) else [] for k in range(width)]
-            for k, row in enumerate(reader, 1):
-                if len(row) == width:
-                    block += row
+            yield header
+            for row in reader:
+                if len(row) == len(header):
+                    lines.append(reader.line_num)
+                    fields += row
                 elif row:
-                    unread = TableFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
+                    error = TableFormatError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
                     break
-                if k % _BLOCK_ROWS == 0:
-                    flush()
+                if len(lines) == _BLOCK_ROWS:
+                    yield lines, _columns(fields, len(header))
+                    lines, fields = [], []
         except csv.Error as exc:  # a field past csv.field_size_limit()
-            unread = TableFormatError(f"{path}:{reader.line_num}: {exc}")
+            error = TableFormatError(f"{path}:{reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
-            unread = EncodingError(path, exc)
-    if header is None:  # not even the header could be read
-        raise unread
-    flush()
-    return header, columns, unread
+            error = EncodingError(path, exc)
+    if lines:
+        yield lines, _columns(fields, len(header))
+    if error is not None:
+        raise error
 
 
-def _check_rows(path, columns: Sequence[Iterable[str]], problem, unread: Exception | None) -> None:
-    """Raise the first error in file order, if there is one.
+def _columns(fields: list[str], width: int) -> list[list[str]]:
+    fields = list(map(str.strip, fields))
+    return [fields[k::width] for k in range(width)]
 
-    That is a TableFormatError, with its file line, for the first row for
-    which problem(*fields) returns a message, or else `unread`, the error
-    that stopped _read_rows.
-    """
-    for k, fields in enumerate(zip(*columns)):
-        message = problem(*fields)
-        if message:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                reader = csv.reader(handle)
-                next(reader, None)
-                next(islice(filter(None, reader), k, None))  # the k-th non-blank row
-                raise TableFormatError(f"{path}:{reader.line_num}: {message}")
-    if unread is not None:
-        raise unread
+
+def _raise_at(path, lines: Sequence[int], columns: Sequence[list[str]], rule) -> None:
+    """Raise a TableFormatError, with its file line, for the first row of a block that rule(*fields) rejects."""
+    for line, row in zip(lines, zip(*columns)):
+        try:
+            rule(*row)
+        except ValueError as exc:
+            raise TableFormatError(f"{path}:{line}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +147,11 @@ def _edge_weight(text: str) -> int:
     return w
 
 
-def _edge_problem(src: str, dst: str, raw_w: str) -> str | None:
-    try:
-        _edge_weight(raw_w)
-    except ValueError as exc:
-        return str(exc)
+def _edge_row(src: str, dst: str, raw_w: str) -> None:
+    """ValueError saying why a row of stripped edge-list fields is not an edge, checking its weight first."""
+    _edge_weight(raw_w)
     if not src or not dst:
-        return "empty institution id"
-    return None
+        raise ValueError("empty institution id")
 
 
 def read_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -193,20 +178,23 @@ def read_edge_list(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
 
 def _read_edge_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """read_edge_list through csv: any file, and every error with its file line."""
-    ids, spellings = numbering("nodes"), numbering("weight spellings")
-    header, columns, unread = _read_rows(path, books=(ids, ids, spellings))
-    if header != ["source", "target", "weight"]:
-        raise TableFormatError(f"{path}: expected header 'source,target,weight'")
-    sources, targets, codes = (np.frombuffer(column, np.intc) for column in columns)
-    try:
-        weights = np.array(list(map(_edge_weight, spellings)), np.int64)[codes]  # each spelling parsed once
-        valid = "" not in ids
-    except ValueError:
-        valid = False
-    if not valid or unread is not None:
-        keys = [list(ids), list(ids), list(spellings)]  # the field of each code, by column
-        _check_rows(path, [map(k.__getitem__, c) for k, c in zip(keys, columns)], _edge_problem, unread)
-    return list(ids), sources, targets, weights
+    ids, parsed = numbering("nodes"), {}  # each weight spelling is parsed once
+    sources, targets, weights = array("i"), array("i"), array("q")
+    with closing(_read_rows(path)) as blocks:
+        if next(blocks) != ["source", "target", "weight"]:
+            raise TableFormatError(f"{path}: expected header 'source,target,weight'")
+        for lines, columns in blocks:
+            src, dst, raw = columns
+            try:
+                parsed.update((w, _edge_weight(w)) for w in set(raw).difference(parsed))
+                if not (all(src) and all(dst)):
+                    raise ValueError
+            except ValueError:
+                _raise_at(path, lines, columns, _edge_row)
+            sources.extend(map(ids.__getitem__, src))
+            targets.extend(map(ids.__getitem__, dst))
+            weights.extend(map(parsed.__getitem__, raw))
+    return list(ids), np.frombuffer(sources, np.intc), np.frombuffer(targets, np.intc), np.frombuffer(weights, np.int64)
 
 
 def _csv_fields(values: Iterable[str]) -> list[str]:
@@ -270,36 +258,37 @@ def write_ranking_csv(path, node_ids: Sequence[str], scores, normalized) -> None
 
 def _read_labeled(path, label: str) -> tuple[list[str], list[str], list[np.ndarray]]:
     """Column names, row labels and float64 columns of a `<label>,<column>,...` CSV."""
-    header, columns, unread = _read_rows(path)
-    if len(header) < 2 or header[0] != label:
-        raise TableFormatError(f"{path}: expected header '{label},<column>,...'")
-    names = header[1:]
-    if len(set(names)) != len(names):
-        raise TableFormatError(f"{path}: duplicate column names")
+    with closing(_read_rows(path)) as blocks:
+        header = next(blocks)
+        if len(header) < 2 or header[0] != label:
+            raise TableFormatError(f"{path}: expected header '{label},<column>,...'")
+        names = header[1:]
+        if len(set(names)) != len(names):
+            raise TableFormatError(f"{path}: duplicate column names")
 
-    def problem(row_label, *cells):
-        if not row_label:
-            return f"empty {label} id"
-        for name, cell in zip(names, cells):
-            if not cell:
-                return f"missing value in column {name!r}"
+        def rule(row_label, *cells):
+            if not row_label:
+                raise ValueError(f"empty {label} id")
+            for name, cell in zip(names, cells):
+                if not cell:
+                    raise ValueError(f"missing value in column {name!r}")
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"bad number {cell!r} in column {name!r}") from None
+
+        labels: list[str] = []
+        values = [array("d") for _ in names]
+        for lines, (row_labels, *cells) in blocks:
             try:
-                float(cell)
+                for column, part in zip(values, cells):
+                    column.extend(map(float, part))
+                if not all(row_labels):
+                    raise ValueError
             except ValueError:
-                return f"bad number {cell!r} in column {name!r}"
-        return None
-
-    labels, *cells = columns
-    try:
-        values = [
-            np.fromiter(map(float, column), dtype=np.float64, count=len(column)) for column in cells
-        ]
-        valid = all(labels)
-    except ValueError:
-        valid = False
-    if not valid or unread is not None:
-        _check_rows(path, columns, problem, unread)
-    return names, labels, values
+                _raise_at(path, lines, [row_labels, *cells], rule)
+            labels += row_labels
+    return names, labels, [np.frombuffer(column, np.float64) for column in values]
 
 
 def read_score_table(path) -> ScoreTable:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from citerank import CitationNetwork, ScoreTable
-from citerank import _edgescan, network
+from citerank import _edgescan, fileio, network
 from citerank._edgescan import _BLOCK_BYTES, scan_edge_list
 from citerank.errors import CiteRankError, EncodingError, InputError, TableFormatError
 from citerank.network import INT64_MAX
@@ -308,6 +308,65 @@ def test_bad_value_is_reported_before_a_later_field_past_the_csv_limit(tmp_path)
     path = tmp_path / "edges.csv"
     huge = "x" * (csv.field_size_limit() + 1)
     path.write_text(f"source,target,weight\na,b,zero\n\nb,{huge},1\n")
+    with pytest.raises(TableFormatError, match=r"edges\.csv:2: weight 'zero' is not an integer$"):
+        read_edge_list(path)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file fileio opens, through a wrapped open."""
+    handles = []
+
+    def counted(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(fileio, "open", counted, raising=False)
+    return handles
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (read_edge_list, 'source,target,weight\n"a",b,1\nb,c,zero\n', "weight 'zero' is not an integer"),
+        (read_score_table, "institution,a\ni1,1.0\ni2,one\n", "bad number 'one' in column 'a'"),
+    ],
+    ids=["edge-list", "score-table"],
+)
+def test_a_failed_read_opens_its_file_once(tmp_path, opened, read, text, message):
+    # the bulk scan gives up at the edge list's quote through _edgescan's own open, not counted here
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(TableFormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:3: {message}"
+    assert len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize(
+    "read, label", [(read_score_table, "institution"), (read_correlation_csv, "variable")]
+)
+def test_tables_report_bad_values_past_the_first_block_at_their_line(tmp_path, read, label):
+    # a quoted two-line label and a blank line in the first block: row k > 0 is on line k + 4
+    path = tmp_path / "table.csv"
+    rows = [f"r{k},1.0,2.0" for k in range(_BLOCK_ROWS + 2)]
+    rows[0] = '"r\n0",1.0,2.0\n'
+    rows[_BLOCK_ROWS] = "r,1.0,one"  # the first row of the second block
+    path.write_text("\n".join([f"{label},x,y", *rows]) + "\n")
+    with pytest.raises(TableFormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:{_BLOCK_ROWS + 4}: bad number 'one' in column 'y'"
+    rows[5], rows[_BLOCK_ROWS] = "r5,,2.0", "r,1.0"  # a bad value in the first block, then a short row
+    path.write_text("\n".join([f"{label},x,y", *rows]) + "\n")
+    with pytest.raises(TableFormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:9: missing value in column 'x'"
+
+
+def test_edge_list_bad_value_comes_before_the_index_limit_on_a_later_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(network, "INDEX_LIMIT", 3)
+    path = tmp_path / "edges.csv"
+    path.write_text('source,target,weight\na,b,zero\nc,"d",1\n')
     with pytest.raises(TableFormatError, match=r"edges\.csv:2: weight 'zero' is not an integer$"):
         read_edge_list(path)
 

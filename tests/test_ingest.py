@@ -279,6 +279,12 @@ def test_profile_validation():
         SubjectProfile("x", "c", indicator_weights={"BOGUS": 5})
 
 
+def test_profile_rejects_a_negative_indicator_weight():
+    with pytest.raises(InputError) as info:
+        SubjectProfile("A", "c", indicator_weights={"PUB": 1, "CNCI": -1})
+    assert str(info.value) == "indicator weights must be non-negative in profile 'A'"
+
+
 def test_load_profiles_roundtrip(tmp_path):
     path = tmp_path / "profiles.json"
     path.write_text(
@@ -305,6 +311,15 @@ def test_load_profiles_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(InputError):
             load_profiles(path)
+
+
+def test_load_profiles_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_text("[{name: 1}]")
+    with pytest.raises(InputError) as info:
+        load_profiles(path)
+    message = str(info.value)
+    assert message.startswith(f"profile config {path}: invalid JSON (") and message.endswith("(char 2))")
 
 
 def test_bundled_profiles_config_matches_defaults():

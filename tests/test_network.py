@@ -153,7 +153,7 @@ def test_sorted_and_shuffled_triples_build_equal_networks():
 # the unit-weight path, and the general one, where pair (2, 0) sums 100 + 100
 # past int8: weights become int64 before they are summed
 @pytest.mark.parametrize("weights", [[1, 1, 1, 1, 1], [100, 2, 1, 100, 3]])
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint32, np.int64, list])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint32, np.int64, list, object])
 def test_integer_inputs_of_any_dtype_give_one_network(dtype, weights):
     given = [[2, 0, 1, 2, 0], [0, 1, 2, 0, 2], weights]
     inputs = [list(c) if dtype is list else np.array(c, dtype=dtype) for c in given]
@@ -278,6 +278,9 @@ BAD_INPUTS = [
         "total weight 9223372036854775808 is beyond the int64 range",
     ),
     (("a", "b", "c"), [0, 1], [1, 2], [HALF, HALF], "total weight 9223372036854775808 is beyond the int64 range"),
+    (("a", "b"), [0], [1], [2**64], "edge weights beyond the int64 range"),  # an object array past uint64
+    (("a", "b"), [[0], [1]], [1, 0], [1, 1], "source indices must be one-dimensional"),
+    (("a", "b"), [0, 1], [1], [1, 1], "source, target and weight must have one length"),
 ]
 
 

@@ -660,6 +660,54 @@ def test_correlation_matrix_rejects_columns_of_different_lengths():
         correlation_matrix({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 4.0, 3.0]})
 
 
+INPUT_ERRORS = [
+    (lambda: average_rank(np.eye(2)), InputError, "average_rank expects a 1-D vector"),
+    (lambda: spearman([1, 2], [2, 1]), InputError, "spearman needs at least 3 points, got 2"),
+    (lambda: kendall_w([[1], [2]]), InputError, "kendall_w needs at least 2 items"),
+    (lambda: rank_displacement([], []), InputError, "rank displacement needs at least one institution"),
+    (lambda: correlation_matrix({"a": [1.0, 2.0, 3.0]}), InputError, "need at least two columns to correlate"),
+    (
+        lambda: correlation_matrix({"a": [1.0, 2.0], "b": [2.0, 1.0]}),
+        InputError,
+        "need at least 3 observations to correlate",
+    ),
+    (lambda: pca(np.zeros((2, 3)), retain=1), InvalidCorrelationMatrixError, "correlation matrix must be square"),
+    (
+        lambda: pca(np.array([[1.0, math.nan], [math.nan, 1.0]]), retain=1),
+        InvalidCorrelationMatrixError,
+        "correlation matrix has non-finite entries",
+    ),
+    (
+        lambda: pca(np.eye(2), retain=1, variables=("x", "y", "z")),
+        InputError,
+        "variable names must match the matrix size",
+    ),
+    (lambda: _t_two_sided_p(0.5, 0), UndefinedStatisticError, "too few observations (0 degrees of freedom)"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    INPUT_ERRORS,
+    ids=[
+        "average-rank-2d",
+        "spearman-2-points",
+        "kendall-1-item",
+        "displacement-empty",
+        "correlation-1-column",
+        "correlation-2-rows",
+        "pca-not-square",
+        "pca-nan",
+        "pca-3-names",
+        "p-value-0-dof",
+    ],
+)
+def test_input_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 @pytest.mark.parametrize("exponent", [600, -600])
 def test_results_are_bit_identical_under_power_of_two_rescaling(exponent):
     rng = np.random.default_rng(83)

@@ -157,6 +157,12 @@ def test_normalize_rejects_non_positive():
         normalize_pagerank(np.array([0.0, 1.0]))
 
 
+def test_normalize_rejects_an_empty_vector():
+    with pytest.raises(ScoringError) as info:
+        normalize_pagerank([])
+    assert str(info.value) == "cannot normalize an empty score vector"
+
+
 def test_normalize_scale_invariant_and_order_preserving():
     rng = np.random.default_rng(21)
     for _ in range(100):
